@@ -215,18 +215,6 @@ struct MetricsOptions {
   }
 };
 
-/// Declares the incremental-rounds escape hatch shared by the scheduling
-/// commands. Incremental (cross-round verdict caching with dirty-frontier
-/// invalidation, DESIGN.md §11) is the default; `--no-incremental` re-tests
-/// every node every round. Schedules are bit-identical either way, so this
-/// is execution detail — like `--threads`, never a semantic manifest key.
-bool declare_incremental(util::ArgParser& args) {
-  return !args.get_flag(
-      "no-incremental",
-      "disable cross-round VPT verdict caching (re-test every node every "
-      "round; schedules are bit-identical — ablation escape hatch)");
-}
-
 MetricsOptions declare_metrics_options(util::ArgParser& args) {
   MetricsOptions m;
   m.out_path = args.get_string("metrics-out", "",
@@ -540,7 +528,6 @@ int cmd_schedule(util::ArgParser& args, std::ostream& out) {
   const double band = declare_band(args);
   const unsigned threads = declare_threads(
       args, 1, "VPT worker threads (0 = hardware concurrency)");
-  const bool incremental = declare_incremental(args);
   const MetricsOptions metrics = declare_metrics_options(args);
   const std::string profile_path = declare_profile_option(args);
   const QualityKnobs q_opts = declare_quality_options(args);
@@ -554,7 +541,6 @@ int cmd_schedule(util::ArgParser& args, std::ostream& out) {
   config.tau = tau;
   config.seed = seed;
   config.num_threads = threads;
-  config.incremental = incremental;
   obs::RoundCollector collector;
   if (metrics.requested()) config.collector = &collector;
   begin_profile(profile_path, threads);
@@ -734,7 +720,6 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
       args.get_int("net-seed", 1, "link delay / loss seed (async)"));
   const double retransmit = args.get_double(
       "retransmit", 4.0, "retransmission interval for unacked messages");
-  const bool incremental = declare_incremental(args);
   const MetricsOptions metrics = declare_metrics_options(args);
   const std::string profile_path = declare_profile_option(args);
   const NodeTelemetryOptions nt_opts = declare_node_telemetry_options(args);
@@ -760,7 +745,6 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
   config.tau = tau;
   config.seed = seed;
   config.num_threads = threads;
-  config.incremental = incremental;
   obs::RoundCollector collector;
   if (metrics.requested()) config.collector = &collector;
 
@@ -858,7 +842,6 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
   const double band = declare_band(args);
   const unsigned threads = declare_threads(
       args, 1, "VPT worker threads (0 = hardware concurrency)");
-  const bool incremental = declare_incremental(args);
   const MetricsOptions metrics = declare_metrics_options(args);
   const std::string profile_path = declare_profile_option(args);
   const NodeTelemetryOptions nt_opts = declare_node_telemetry_options(args);
@@ -877,7 +860,6 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
   core::DccConfig config;
   config.tau = tau;
   config.num_threads = threads;
-  config.incremental = incremental;
   obs::RoundCollector collector;
   if (metrics.requested()) config.collector = &collector;
   begin_profile(profile_path, threads);
@@ -1369,7 +1351,6 @@ int cmd_scale(util::ArgParser& args, std::ostream& out) {
                                    "speedup-curve JSON sink (empty = none)");
   opts.html_path = args.get_string("out", "scale.html",
                                    "speedup-curve HTML chart (empty = none)");
-  opts.incremental = declare_incremental(args);
   configure_logging(args);
   args.finish();
   const obs::RunManifest manifest =

@@ -115,20 +115,11 @@ ProfileLoad load_profile(const std::string& path) {
       obs::MemorySample sample;
       sample.t_ns = rec->u64("t_ns");
       sample.peak_rss_bytes = rec->u64("peak_rss_bytes");
-      sample.arena_bytes = rec->u64("arena_bytes");
       load.data.memory.samples.push_back(sample);
     } else if (type == "memory_summary") {
       obs::MemoryTelemetry& m = load.data.memory;
       m.peak_rss_begin_bytes = rec->u64("peak_rss_begin_bytes");
       m.peak_rss_end_bytes = rec->u64("peak_rss_end_bytes");
-      m.arena_hwm_bytes = rec->u64("arena_hwm_bytes");
-      m.arena_allocations = rec->u64("arena_allocations");
-      for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
-        m.phase_arena_hwm[p] = rec->u64(
-            "arena_hwm_" +
-            std::string(obs::cost_phase_name(static_cast<obs::CostPhase>(p))) +
-            "_bytes");
-      }
     } else if (type != "phase_summary" && type != "profile_summary") {
       // phase/profile summaries are recomputed from the worker rows; any
       // other record type is from a future writer.
@@ -390,16 +381,14 @@ std::string render_profile_report_html(const ProfileLoad& load,
   // --------------------------------------------------------------- memory
   out << "<section>\n<h2>Memory</h2>\n";
   if (!data.memory.samples.empty()) {
-    out << "<p class=\"note\">peak RSS (monotone high-water) and ball-cache "
-           "arena residency at each sampled boundary</p>\n";
+    out << "<p class=\"note\">peak RSS (monotone high-water) at each "
+           "sampled boundary</p>\n";
     charts::LineChartSpec spec;
     spec.aria_label = "memory over sampled boundaries";
-    spec.legend = {{"line1", "peak RSS MiB"}, {"line2", "arena MiB"}};
+    spec.legend = {{"line1", "peak RSS MiB"}};
     spec.axis_name = "sample";
     charts::LineSeries rss;
     rss.series = "1";
-    charts::LineSeries arena;
-    arena.series = "2";
     for (std::size_t i = 0; i < data.memory.samples.size(); ++i) {
       const obs::MemorySample& s = data.memory.samples[i];
       spec.slot_ids.push_back(i + 1);
@@ -407,13 +396,8 @@ std::string render_profile_report_html(const ProfileLoad& load,
       rss.titles.push_back("sample " + std::to_string(i + 1) + " @ " +
                            fnum(ms(s.t_ns), 1) + " ms — peak RSS " +
                            fnum(mib(s.peak_rss_bytes), 1) + " MiB");
-      arena.values.push_back(mib(s.arena_bytes));
-      arena.titles.push_back("sample " + std::to_string(i + 1) + " @ " +
-                             fnum(ms(s.t_ns), 1) + " ms — arena " +
-                             fnum(mib(s.arena_bytes), 2) + " MiB");
     }
     spec.lines.push_back(std::move(rss));
-    spec.lines.push_back(std::move(arena));
     charts::line_chart(out, spec);
   }
   out << "<table class=\"kv\">\n"
@@ -421,18 +405,7 @@ std::string render_profile_report_html(const ProfileLoad& load,
       << fnum(mib(data.memory.peak_rss_begin_bytes), 1) << " MiB</td></tr>\n"
       << "<tr><td>peak RSS at end</td><td>"
       << fnum(mib(data.memory.peak_rss_end_bytes), 1) << " MiB</td></tr>\n"
-      << "<tr><td>ball-arena high water</td><td>"
-      << fnum(mib(data.memory.arena_hwm_bytes), 2) << " MiB</td></tr>\n"
-      << "<tr><td>ball captures</td><td>" << data.memory.arena_allocations
-      << "</td></tr>\n";
-  for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
-    if (data.memory.phase_arena_hwm[p] == 0) continue;
-    out << "<tr><td>arena high water ("
-        << obs::cost_phase_name(static_cast<obs::CostPhase>(p))
-        << ")</td><td>" << fnum(mib(data.memory.phase_arena_hwm[p]), 2)
-        << " MiB</td></tr>\n";
-  }
-  out << "</table>\n</section>\n";
+      << "</table>\n</section>\n";
 
   html::page_end(out);
   return out.str();

@@ -74,19 +74,11 @@ obs::QualityProbeResult probe_network_quality(const core::Network& net,
 
   r.components = awake_components(net.dep.graph, active);
 
-  // Crashes and over-deletion can take a boundary-cycle node down with them;
-  // the certificate machinery requires CB's edges in the active subgraph, so
-  // a broken boundary simply means no τ certifies (certifiable_tau = 0).
-  bool cb_intact = true;
-  net.cb.for_each_set_bit([&](std::size_t e) {
-    const auto [u, v] = net.dep.graph.edge(static_cast<graph::EdgeId>(e));
-    if (!active[u] || !active[v]) cb_intact = false;
-  });
-  if (cb_intact) {
-    const core::QualityReport q = core::assess_quality(
-        net.dep.graph, active, net.cb, std::max(tau_cap, 3u));
-    r.certifiable_tau = q.certifiable_tau;
-  }
+  // A crashed boundary-cycle node breaks CB, which then certifies no τ
+  // (certifiable_tau = 0).
+  r.certifiable_tau = core::assess_quality(net.dep.graph, active, net.cb,
+                                           std::max(tau_cap, 3u))
+                          .certifiable_tau;
   return r;
 }
 

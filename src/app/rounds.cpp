@@ -94,9 +94,9 @@ CostRow cost_from_record(const obs::JsonRecord& rec) {
 }
 
 std::string render_round_table(const std::vector<RoundRow>& rows) {
-  // "hits"/"dirty"/"view B" mirror the cost table's incremental-rounds
-  // columns (DESIGN.md §11) so `tgcover stats` shows per-round how much
-  // verdict work was reused and how many ball-view bytes were materialized.
+  // "hits"/"dirty"/"view B" mirror the cost table's columns: "hits" and
+  // "dirty" stay 0 since every round re-tests every node (DESIGN.md §11);
+  // "view B" shows per round how many ball-view bytes were materialized.
   util::Table table({"round", "active", "cand", "del", "vpt", "hits", "dirty",
                      "bfs", "horton", "gf2", "msgs", "lost", "rexmit",
                      "view B", "cost", "verdict ms", "mis ms", "del ms"});
@@ -136,11 +136,10 @@ std::string render_round_table(const std::vector<RoundRow>& rows) {
 }
 
 std::string render_cost_table(const std::vector<CostRow>& totals) {
-  // "hits"/"dirty"/"view B" are the incremental-rounds counters (DESIGN.md
-  // §11): verdicts reused from the cache, nodes re-queued by dirty
-  // frontiers, and bytes of BallView arena built for VPT tests. They are
-  // outside the logical-cost scalar (work avoided / memory, not work done)
-  // but equally machine-independent.
+  // "hits"/"dirty" stay 0 since every round re-tests every node (DESIGN.md
+  // §11); "view B" is the bytes of BallView arena built for VPT tests. All
+  // three are outside the logical-cost scalar but equally
+  // machine-independent.
   util::Table table({"phase", "vpt", "hits", "dirty", "bfs", "horton", "gf2",
                      "msgs", "rexmit", "waves", "view B", "cost"});
   CostRow sum;

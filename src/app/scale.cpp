@@ -39,7 +39,6 @@ void write_scale_json(const ScaleOptions& opts,
       << ",\"repeat\":" << opts.repeat << ",\"in\":\"" << opts.in_path
       << "\",\"tau\":" << opts.tau << ",\"seed\":" << opts.seed
       << ",\"band\":" << html::axis_label(opts.band)
-      << ",\"incremental\":" << (opts.incremental ? 1 : 0)
       << ",\"results\":[";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     const ScaleRung& r = rungs[i];
@@ -151,7 +150,6 @@ int run_scale(const ScaleOptions& opts, const obs::RunManifest& manifest,
       config.tau = opts.tau;
       config.seed = opts.seed;
       config.num_threads = threads;
-      config.incremental = opts.incremental;
       const obs::CostSnapshot before = obs::cost_snapshot();
       const std::uint64_t t0 = obs::now_ns();
       const core::ScheduleSummary s = core::run_dcc(net, config);

@@ -6,28 +6,56 @@
 
 namespace tgc::core {
 
-util::Gf2Vector remap_edge_vector(const graph::Graph& from,
-                                  const util::Gf2Vector& vec,
-                                  const graph::Graph& to) {
+namespace {
+
+using Endpoints = std::pair<graph::VertexId, graph::VertexId>;
+
+/// `vec` re-expressed over `to`'s edge ids, or nullopt when one of its edges
+/// is missing from `to` (its endpoints then land in `*missing`, if given).
+/// For CB over an active subgraph, a missing edge means a boundary node is
+/// down: CB is then not in the active graph's cycle space, so no τ
+/// partitions it.
+std::optional<util::Gf2Vector> try_remap(const graph::Graph& from,
+                                         const util::Gf2Vector& vec,
+                                         const graph::Graph& to,
+                                         Endpoints* missing = nullptr) {
   TGC_CHECK(vec.size() == from.num_edges());
   TGC_CHECK(from.num_vertices() == to.num_vertices());
   util::Gf2Vector out(to.num_edges());
+  bool intact = true;
   vec.for_each_set_bit([&](std::size_t e) {
     const auto [u, v] = from.edge(static_cast<graph::EdgeId>(e));
     const auto mapped = to.edge_between(u, v);
-    TGC_CHECK_MSG(mapped.has_value(), "edge (" << u << "," << v
-                                               << ") missing in target graph");
-    out.set(*mapped);
+    if (mapped.has_value()) {
+      out.set(*mapped);
+    } else if (intact) {
+      intact = false;
+      if (missing != nullptr) *missing = {u, v};
+    }
   });
+  if (!intact) return std::nullopt;
   return out;
+}
+
+}  // namespace
+
+util::Gf2Vector remap_edge_vector(const graph::Graph& from,
+                                  const util::Gf2Vector& vec,
+                                  const graph::Graph& to) {
+  Endpoints missing;
+  auto out = try_remap(from, vec, to, &missing);
+  TGC_CHECK_MSG(out.has_value(), "edge (" << missing.first << ","
+                                          << missing.second
+                                          << ") missing in target graph");
+  return std::move(*out);
 }
 
 bool criterion_holds(const graph::Graph& g, const std::vector<bool>& active,
                      const util::Gf2Vector& cb_sum, unsigned tau) {
   TGC_CHECK(active.size() == g.num_vertices());
   const graph::Graph filtered = graph::filter_active(g, active);
-  const util::Gf2Vector cb = remap_edge_vector(g, cb_sum, filtered);
-  return cycle::short_cycles_contain(filtered, tau, cb);
+  const auto cb = try_remap(g, cb_sum, filtered);
+  return cb.has_value() && cycle::short_cycles_contain(filtered, tau, *cb);
 }
 
 std::optional<std::vector<cycle::Cycle>> find_partition(
@@ -35,9 +63,10 @@ std::optional<std::vector<cycle::Cycle>> find_partition(
     const util::Gf2Vector& cb_sum, unsigned tau) {
   TGC_CHECK(active.size() == g.num_vertices());
   const graph::Graph filtered = graph::filter_active(g, active);
-  const util::Gf2Vector cb = remap_edge_vector(g, cb_sum, filtered);
+  const auto cb = try_remap(g, cb_sum, filtered);
+  if (!cb.has_value()) return std::nullopt;
   const cycle::ShortCycleBasis basis(filtered, tau, /*with_certificates=*/true);
-  auto parts = basis.partition_of(cb);
+  auto parts = basis.partition_of(*cb);
   if (!parts.has_value()) return std::nullopt;
   // Express the certificate cycles back over g's edge ids.
   std::vector<cycle::Cycle> out;
@@ -54,13 +83,16 @@ unsigned smallest_certifiable_tau(const graph::Graph& g,
                                   unsigned tau_cap) {
   TGC_CHECK(tau_cap >= 3);
   const graph::Graph filtered = graph::filter_active(g, active);
-  const util::Gf2Vector cb = remap_edge_vector(g, cb_sum, filtered);
-  if (!cycle::short_cycles_contain(filtered, tau_cap, cb)) return 0;
+  const auto cb = try_remap(g, cb_sum, filtered);
+  if (!cb.has_value() ||
+      !cycle::short_cycles_contain(filtered, tau_cap, *cb)) {
+    return 0;
+  }
   unsigned lo = 3;
   unsigned hi = tau_cap;
   while (lo < hi) {
     const unsigned mid = lo + (hi - lo) / 2;
-    if (cycle::short_cycles_contain(filtered, mid, cb)) {
+    if (cycle::short_cycles_contain(filtered, mid, *cb)) {
       hi = mid;
     } else {
       lo = mid + 1;

@@ -53,14 +53,9 @@ class TracedPhase {
 /// k-hop flood of the deleted node ids; every node that hears an id removes
 /// that node from its local view. Runs while the deleted nodes are still
 /// active so the notices propagate over the pre-deletion topology — exactly
-/// the set of nodes whose views mention them. Returns the non-selected nodes
-/// that heard at least one id: since a node's view changes only through
-/// these erasures and its verdict is a pure function of the view, the heard
-/// set IS the exact dirty frontier for the verdict cache.
-std::vector<VertexId> flood_deletions(sim::SyncRunner& runner,
-                                      const std::vector<bool>& selected,
-                                      unsigned k,
-                                      std::vector<sim::LocalView>& views) {
+/// the set of nodes whose views mention them.
+void flood_deletions(sim::SyncRunner& runner, const std::vector<bool>& selected,
+                     unsigned k, std::vector<sim::LocalView>& views) {
   const std::size_t n = runner.graph().num_vertices();
   std::vector<std::unordered_set<VertexId>> heard(n);
 
@@ -82,13 +77,10 @@ std::vector<VertexId> flood_deletions(sim::SyncRunner& runner,
     });
   }
 
-  std::vector<VertexId> dirtied;
   for (VertexId v = 0; v < n; ++v) {
     if (selected[v]) continue;  // about to power down anyway
-    if (!heard[v].empty()) dirtied.push_back(v);
     for (const VertexId who : heard[v]) views[v].erase_node(who);
   }
-  return dirtied;
 }
 
 /// The protocol itself, generic over the synchronous-round substrate: the
@@ -138,16 +130,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
   util::ThreadPool pool(config.num_threads);
   std::vector<VptWorkspace> workspaces(pool.num_workers());
   std::vector<VertexId> to_test;
-
-  // Per-node verdict cache for the distributed protocol. A node's verdict is
-  // a pure function of its local view, and views change only through the
-  // deletion-flood erasures, so a node re-evaluates exactly when it heard a
-  // deletion notice (the dirty frontier flood_deletions returns) — no extra
-  // messages needed; the invalidation signal is the protocol's own flood.
-  enum : char { kUnknown = 0, kDeletable = 1, kNotDeletable = 2 };
-  std::vector<char> verdict(g.num_vertices(), kUnknown);
-  std::vector<bool> dirty(g.num_vertices(), true);
-  std::vector<char> fresh(g.num_vertices(), 0);
+  std::vector<char> verdict(g.num_vertices(), 0);
 
   while (out.schedule.rounds < config.max_rounds) {
     if (config.collector != nullptr) config.collector->begin_round();
@@ -167,36 +150,22 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
       TracedPhase traced_phase(runner, obs::TracePhase::kVerdicts);
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        if (!out.schedule.active[v] || !internal[v]) continue;
-        if (!config.incremental || dirty[v] || verdict[v] == kUnknown) {
-          to_test.push_back(v);
-        } else {
-          ++out.schedule.cache_hits;
-          obs::add(obs::CounterId::kVerdictCacheHits, 1);
-        }
+        if (out.schedule.active[v] && internal[v]) to_test.push_back(v);
       }
       out.schedule.vpt_tests += to_test.size();
       pool.parallel_for(0, to_test.size(),
                         [&](std::size_t i, unsigned worker) {
-                          fresh[to_test[i]] = vpt_vertex_deletable_local(
+                          verdict[to_test[i]] = vpt_vertex_deletable_local(
                               views[to_test[i]], vpt, workspaces[worker]);
                         });
+      // Trace events and candidates come out in ascending node order on the
+      // scheduler thread, whatever the pool's completion order.
       for (const VertexId v : to_test) {
-        verdict[v] = fresh[v] != 0 ? kDeletable : kNotDeletable;
-        dirty[v] = false;
-      }
-      // One ascending pass over cached and fresh verdicts alike: candidates
-      // and kVerdict trace events come out in the same node order whether a
-      // verdict was re-evaluated or reused, so the trace stream stays
-      // byte-identical between incremental and full runs.
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        if (!out.schedule.active[v] || !internal[v]) continue;
         if (traced) {
           obs::trace_emit(obs::TraceKind::kVerdict, v, obs::kTraceNoNode, 0,
-                          verdict[v] == kDeletable ? 1 : 0,
-                          sched_clock(runner));
+                          verdict[v] != 0 ? 1 : 0, sched_clock(runner));
         }
-        if (verdict[v] == kDeletable) {
+        if (verdict[v] != 0) {
           candidate[v] = true;
           ++num_candidates;
         }
@@ -232,11 +201,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
       TGC_OBS_SPAN(obs::SpanId::kDeletion);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kDeletion);
       TracedPhase traced_phase(runner, obs::TracePhase::kDeletion);
-      const std::vector<VertexId> dirtied =
-          flood_deletions(runner, selected, k, views);
-      for (const VertexId v : dirtied) dirty[v] = true;
-      out.schedule.dirty_marked += dirtied.size();
-      obs::add(obs::CounterId::kDirtyNodes, dirtied.size());
+      flood_deletions(runner, selected, k, views);
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!selected[v]) continue;
         runner.deactivate(v);

@@ -1,92 +1,17 @@
 #include "tgcover/core/edge_scheduler.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 
-#include "tgcover/cycle/span.hpp"
-#include "tgcover/graph/algorithms.hpp"
+#include "tgcover/core/vpt.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/rng.hpp"
 
 namespace tgc::core {
 
-namespace {
-
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-/// Masked BFS (both node and edge masks) from `source`, truncated at `k`
-/// hops; marks distances into `dist` (pre-sized, kUnreached-initialized
-/// entries are overwritten lazily via the epoch trick is overkill here —
-/// callers pass a fresh map).
-void masked_bfs(const Graph& g, const std::vector<bool>& node_active,
-                const std::vector<bool>& edge_active, VertexId source,
-                unsigned k, std::unordered_map<VertexId, unsigned>& dist) {
-  if (dist.count(source) == 0) dist.emplace(source, 0);
-  std::deque<VertexId> queue{source};
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    const unsigned du = dist.at(u);
-    if (du >= k) continue;
-    const auto nbrs = g.neighbors(u);
-    const auto eids = g.incident_edges(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId w = nbrs[i];
-      if (!node_active[w] || !edge_active[eids[i]]) continue;
-      if (dist.count(w) > 0) continue;
-      dist.emplace(w, du + 1);
-      queue.push_back(w);
-    }
-  }
-}
-
-/// The τ-VPT edge test on the masked topology: the k-hop neighbourhood of
-/// edge `e`'s endpoints, minus the edge itself, must be connected with all
-/// irreducible cycles ≤ τ.
-bool edge_deletable_masked(const Graph& g, const std::vector<bool>& node_active,
-                           const std::vector<bool>& edge_active, EdgeId e,
-                           const VptConfig& config) {
-  const auto [u, v] = g.edge(e);
-  const unsigned k = config.effective_k();
-
-  std::unordered_map<VertexId, unsigned> dist;
-  masked_bfs(g, node_active, edge_active, u, k, dist);
-  masked_bfs(g, node_active, edge_active, v, k, dist);
-
-  std::vector<VertexId> members;
-  members.reserve(dist.size());
-  for (const auto& [node, d] : dist) {
-    (void)d;
-    members.push_back(node);
-  }
-  std::sort(members.begin(), members.end());
-
-  std::unordered_map<VertexId, VertexId> local_of;
-  for (VertexId i = 0; i < members.size(); ++i) local_of.emplace(members[i], i);
-  graph::GraphBuilder builder(members.size());
-  for (const VertexId a : members) {
-    const auto nbrs = g.neighbors(a);
-    const auto eids = g.incident_edges(a);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId b = nbrs[i];
-      if (!node_active[b] || !edge_active[eids[i]]) continue;
-      if (eids[i] == e) continue;  // puncture the edge under test
-      const auto lb = local_of.find(b);
-      if (lb == local_of.end()) continue;
-      builder.add_edge(local_of.at(a), lb->second);
-    }
-  }
-  const Graph punctured = builder.build();
-  if (punctured.num_vertices() == 0) return true;
-  if (!graph::is_connected(punctured)) return false;
-  return cycle::short_cycles_span(punctured, config.tau);
-}
-
-}  // namespace
 
 EdgeScheduleResult dcc_schedule_edges(const Graph& g,
                                       const std::vector<bool>& node_active,
@@ -108,25 +33,17 @@ EdgeScheduleResult dcc_schedule_edges(const Graph& g,
     return protected_edges.size() != 0 && protected_edges.test(e);
   };
 
-  enum class Verdict : char { kUnknown, kDeletable, kNotDeletable };
-  std::vector<Verdict> verdict(g.num_edges(), Verdict::kUnknown);
-  std::vector<bool> dirty(g.num_edges(), true);
-
+  VptWorkspace ws;
   while (result.rounds < config.max_rounds) {
-    // Candidate links: deletable per the VPT edge operator.
+    // Candidate links: every live, unprotected link the VPT edge operator
+    // finds deletable on the current topology.
     std::vector<EdgeId> candidates;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       if (!result.edge_active[e] || is_protected(e)) continue;
-      if (dirty[e] || verdict[e] == Verdict::kUnknown ||
-          !config.incremental) {
-        ++result.vpt_tests;
-        verdict[e] = edge_deletable_masked(g, node_active, result.edge_active,
-                                           e, vpt)
-                         ? Verdict::kDeletable
-                         : Verdict::kNotDeletable;
-        dirty[e] = false;
+      ++result.vpt_tests;
+      if (vpt_edge_deletable(g, node_active, result.edge_active, e, vpt, ws)) {
+        candidates.push_back(e);
       }
-      if (verdict[e] == Verdict::kDeletable) candidates.push_back(e);
     }
     if (candidates.empty()) break;
     ++result.rounds;
@@ -147,28 +64,16 @@ EdgeScheduleResult dcc_schedule_edges(const Graph& g,
       const auto [u, v] = g.edge(e);
       if (node_blocked[u] || node_blocked[v]) continue;
       selected.push_back(e);
-      std::unordered_map<VertexId, unsigned> dist;
-      masked_bfs(g, node_active, result.edge_active, u, k, dist);
-      masked_bfs(g, node_active, result.edge_active, v, k, dist);
-      for (const auto& [node, d] : dist) {
-        (void)d;
-        node_blocked[node] = true;
+      for (const VertexId w :
+           edge_ball(g, node_active, result.edge_active, e, k, ws)) {
+        node_blocked[w] = true;
       }
     }
     TGC_CHECK(!selected.empty());
 
-    // Delete the selected links; verdicts near them go stale.
     for (const EdgeId e : selected) {
-      const auto [u, v] = g.edge(e);
-      std::unordered_map<VertexId, unsigned> dist;
-      masked_bfs(g, node_active, result.edge_active, u, k + 1, dist);
-      masked_bfs(g, node_active, result.edge_active, v, k + 1, dist);
       result.edge_active[e] = false;
       ++result.pruned;
-      for (const auto& [node, dd] : dist) {
-        (void)dd;
-        for (const EdgeId ne : g.incident_edges(node)) dirty[ne] = true;
-      }
     }
   }
 

@@ -20,7 +20,10 @@ util::Gf2Vector remap_edge_vector(const graph::Graph& from,
 /// subgraph G' achieves τ-confine coverage if the sum of the boundary cycles
 /// CB is τ-partitionable in G'. `cb_sum` is the GF(2) sum of the boundary
 /// cycles, expressed over g's edge ids; for a simply-connected target area
-/// it is just the outer boundary cycle.
+/// it is just the outer boundary cycle. False when a CB edge has lost an
+/// endpoint (a crashed or sleeping boundary node): CB then is not a cycle of
+/// the active subgraph at all. The same holds for `find_partition` (nullopt)
+/// and `smallest_certifiable_tau` (0).
 bool criterion_holds(const graph::Graph& g, const std::vector<bool>& active,
                      const util::Gf2Vector& cb_sum, unsigned tau);
 

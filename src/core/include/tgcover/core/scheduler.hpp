@@ -12,8 +12,6 @@ class RoundCollector;
 
 namespace tgc::core {
 
-class VerdictCache;
-
 /// Configuration of a DCC scheduling run.
 struct DccConfig {
   unsigned tau = 3;
@@ -24,19 +22,6 @@ struct DccConfig {
   std::uint64_t seed = 1;
   /// Safety cap on deletion rounds (the fixpoint terminates on its own).
   std::size_t max_rounds = static_cast<std::size_t>(-1);
-  /// Incremental rounds (default): VPT verdicts are cached across rounds and
-  /// only nodes whose k-hop ball intersected a deletion wave are re-tested
-  /// (VerdictCache dirty-frontier invalidation). Schedules are bit-identical
-  /// either way — verdicts are pure functions of the ball — so `false` is an
-  /// escape hatch (`--no-incremental`) that re-tests every node every round,
-  /// used by the equivalence tests and the ablation benches.
-  bool incremental = true;
-  /// Optional external verdict cache surviving across scheduler calls.
-  /// `dcc_repair` threads one through its escalating waves so verdicts far
-  /// from the failure are not re-evaluated wave after wave; `prepare`
-  /// re-dirties exactly the neighbourhood of the awake-set delta. Null: the
-  /// scheduler uses a private per-call cache.
-  VerdictCache* cache = nullptr;
   /// Optional fixed per-node MIS priorities (higher = deleted earlier),
   /// overriding the seeded random ones. Used by the energy-aware lifetime
   /// scheduler. Oracle executor only; must be empty for the distributed one.
@@ -67,12 +52,8 @@ struct DccResult {
   std::size_t deleted = 0;
   std::size_t rounds = 0;
   std::vector<DccRoundInfo> per_round;
-  std::size_t vpt_tests = 0;  ///< VPT evaluations performed (cache ablation)
-  /// Verdicts reused from the cache instead of re-evaluated (incremental
-  /// mode; 0 with `incremental = false`).
-  std::size_t cache_hits = 0;
-  /// Nodes marked dirty by deletion/wake frontiers across the run.
-  std::size_t dirty_marked = 0;
+  /// VPT evaluations performed: every awake internal node, every round.
+  std::size_t vpt_tests = 0;
 };
 
 /// DCC — the paper's distributed confine-coverage scheduling (Section V-B) —
@@ -89,8 +70,8 @@ DccResult dcc_schedule(const graph::Graph& g, const std::vector<bool>& internal,
 
 /// Variant starting from a given awake set instead of the full network —
 /// nodes outside `initial_active` are treated as already asleep (they do not
-/// relay and are not counted as deleted). Powers incremental re-scheduling
-/// (see repair.hpp).
+/// relay and are not counted as deleted). Powers failure repair's
+/// re-scheduling (see repair.hpp).
 DccResult dcc_schedule_from(const graph::Graph& g,
                             const std::vector<bool>& internal,
                             const std::vector<bool>& initial_active,

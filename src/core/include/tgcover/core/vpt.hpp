@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "tgcover/core/ball_cache.hpp"
 #include "tgcover/cycle/span.hpp"
 #include "tgcover/graph/graph.hpp"
 #include "tgcover/graph/subgraph.hpp"
@@ -24,15 +24,15 @@ struct VptConfig {
   unsigned mis_radius() const { return effective_k(); }
 };
 
-/// Reusable scratch storage for the VPT kernels.
+/// Reusable scratch storage for the VPT kernel.
 ///
-/// A VPT test is a pure function of (graph, active, vertex), but evaluating
-/// it needs a BFS frontier, an induced punctured subgraph, and GF(2)
-/// candidate vectors — previously all allocated per test through hash maps.
-/// The workspace hoists them into flat epoch-stamped arrays sized once to
-/// the graph order, and the punctured subgraph into an arena-backed
-/// graph::BallView, so back-to-back tests (the scheduler runs thousands per
-/// round) touch the allocator only on capacity growth.
+/// Every deletability test — vertex or link, over the global graph or a
+/// node's local view — runs the same kernel: a depth-k BFS collects the
+/// ball, the punctured ball is built into an arena-backed graph::BallView,
+/// and the two Definition-5 conditions are checked on it. The workspace
+/// holds the BFS frontier and id maps as flat epoch-stamped arrays sized
+/// once to the id range, so back-to-back tests (the scheduler runs
+/// thousands per round) touch the allocator only on capacity growth.
 ///
 /// One workspace per thread: instances are not synchronized. The scheduler
 /// keeps one per pool worker; results are bit-identical with or without a
@@ -81,17 +81,6 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
 bool vpt_vertex_deletable_local(const sim::LocalView& view,
                                 const VptConfig& config, VptWorkspace& ws);
 
-/// Re-evaluates the vertex test for `v` inside its pooled ball (captured at
-/// `v`'s first test this scheduler call) filtered by the current `active`
-/// mask. Because the active set only shrinks within a call, the filtered
-/// capture reproduces a fresh BFS exactly (see BallCache) — the verdict is
-/// bit-identical to `vpt_vertex_deletable` while never traversing the global
-/// graph: the work is charged to ball-view bytes, not BFS expansions.
-bool vpt_vertex_deletable_cached(const BallCache::View& view,
-                                 const std::vector<bool>& active,
-                                 graph::VertexId v, const VptConfig& config,
-                                 VptWorkspace& ws);
-
 /// The τ-VPT edge-deletability test: edge (u, v) may be deleted iff the
 /// k-hop neighbourhood of the edge (nodes within k hops of u or v) minus the
 /// edge itself is connected with maximum irreducible cycle ≤ τ. DCC
@@ -104,5 +93,21 @@ bool vpt_edge_deletable(const graph::Graph& g, const std::vector<bool>& active,
 bool vpt_edge_deletable(const graph::Graph& g, const std::vector<bool>& active,
                         graph::EdgeId e, const VptConfig& config,
                         VptWorkspace& ws);
+
+/// Edge-masked overload: links with `edge_active[id] == false` are absent
+/// from the topology (the link-pruning scheduler's state). `e` must be live.
+bool vpt_edge_deletable(const graph::Graph& g, const std::vector<bool>& active,
+                        const std::vector<bool>& edge_active, graph::EdgeId e,
+                        const VptConfig& config, VptWorkspace& ws);
+
+/// The node set the edge test of `e` inspects over the masked topology:
+/// every node within `k` hops of either endpoint, endpoints included, sorted.
+/// The link scheduler blocks these nodes around each link it deletes in a
+/// round. The span points into `ws` and is valid until its next use.
+std::span<const graph::VertexId> edge_ball(const graph::Graph& g,
+                                          const std::vector<bool>& active,
+                                          const std::vector<bool>& edge_active,
+                                          graph::EdgeId e, unsigned k,
+                                          VptWorkspace& ws);
 
 }  // namespace tgc::core

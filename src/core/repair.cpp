@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "tgcover/core/criterion.hpp"
-#include "tgcover/core/verdict_cache.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/obs.hpp"
@@ -67,15 +66,6 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
   RepairResult result;
   const unsigned k = config.vpt().effective_k();
 
-  // One verdict cache threaded through every escalating wave: each wave's
-  // awake set differs from the previous one only near the failures, so
-  // `prepare` re-dirties just that delta's k-neighbourhood and verdicts far
-  // from the failure survive wave re-entry instead of being recomputed from
-  // scratch each time the radius doubles.
-  VerdictCache wave_cache;
-  DccConfig wave_config = config;
-  if (wave_config.cache == nullptr) wave_config.cache = &wave_cache;
-
   for (unsigned radius = k;; radius *= 2) {
     TGC_OBS_SPAN(obs::SpanId::kRepairWave);
     const obs::CostPhaseScope cost_phase(obs::CostPhase::kRepair);
@@ -98,7 +88,7 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
     }
 
     const DccResult cleaned =
-        dcc_schedule_from(g, deletable, awake, wave_config);
+        dcc_schedule_from(g, deletable, awake, config);
     result.active = cleaned.active;
     result.woken = woken;
     result.redeleted = cleaned.deleted;

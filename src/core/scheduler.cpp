@@ -1,7 +1,5 @@
 #include "tgcover/core/scheduler.hpp"
 
-#include "tgcover/core/ball_cache.hpp"
-#include "tgcover/core/verdict_cache.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/node_stats.hpp"
@@ -32,7 +30,6 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
   TGC_CHECK(initial_active.size() == g.num_vertices());
   TGC_CHECK(config.tau >= 3);
   const VptConfig vpt = config.vpt();
-  const unsigned k = vpt.effective_k();
 
   // The verdict fan-out pool. Each worker owns a private VptWorkspace; every
   // other scratch buffer below is touched only by the scheduler thread.
@@ -42,31 +39,10 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
   DccResult result;
   result.active = initial_active;
 
-  // Cross-round verdict cache (DESIGN.md §11). A verdict depends only on the
-  // punctured k-hop ball, so it stays valid until a state change occurs
-  // within k hops; the cache tracks that dirty frontier. Callers may pass a
-  // cache that already saw an earlier awake set (repair waves) — `prepare`
-  // re-dirties exactly the delta neighbourhood.
-  VerdictCache local_cache;
-  VerdictCache& cache = config.cache != nullptr ? *config.cache : local_cache;
-  cache.prepare(g, result.active, k);
-  result.dirty_marked += cache.last_dirty_marked();
-
-  // Pooled k-hop balls (DESIGN.md §11): a node's first test this call
-  // captures its ball into a flat arena; every re-test after a dirtying
-  // deletion then runs inside the pooled rows filtered by the live active
-  // mask — exact, because active only shrinks within a call. The pool is
-  // strictly per-call: repair waves wake nodes between calls, which would
-  // break the shrink-only argument.
-  BallCache balls;
-  if (config.incremental) balls.reset(g.num_vertices(), pool.num_workers());
-
   std::vector<VertexId> to_test;
-  std::vector<VertexId> deleted_wave;
-  // Per-node fresh verdicts for the current round's fan-out. Workers write
-  // distinct char slots (no word sharing, unlike the cache's packed dirty
-  // bits); the scheduler thread folds them into the cache afterwards.
-  std::vector<char> fresh(g.num_vertices(), 0);
+  // Per-node verdicts of the current round's fan-out. Workers write distinct
+  // char slots (no word sharing, unlike vector<bool>).
+  std::vector<char> verdict(g.num_vertices(), 0);
 
   // Running awake count, maintained for the round log only.
   std::size_t num_active = 0;
@@ -76,58 +52,32 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
 
   while (result.rounds < config.max_rounds) {
     if (config.collector != nullptr) config.collector->begin_round();
-    // Step 1 (Section V-B): every internal node tests its own deletability
-    // from local connectivity. In incremental mode only dirty (or
-    // never-evaluated) nodes are tested; the rest reuse their cached
-    // verdict, which is sound because the cache's invariant guarantees the
-    // ball they were computed against is unchanged. Each verdict reads only
-    // the graph and the pre-round `active` snapshot and writes only its own
-    // slot (a distinct char — no word sharing), so the dirty set fans out
-    // over the pool and the outcome is bit-identical to the serial loop.
+    // Step 1 (Section V-B): every awake internal node tests its own
+    // deletability from local connectivity. Each verdict reads only the
+    // graph and the pre-round `active` snapshot and writes only its own
+    // slot, so the tests fan out over the pool and the outcome is
+    // bit-identical to the serial loop.
     {
       TGC_OBS_SPAN(obs::SpanId::kVerdicts);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kVerdicts);
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        if (!result.active[v] || !internal[v]) continue;
-        if (!config.incremental || cache.dirty(v) ||
-            cache.verdict(v) == VerdictCache::Verdict::kUnknown) {
-          to_test.push_back(v);
-        } else {
-          ++result.cache_hits;
-          obs::add(obs::CounterId::kVerdictCacheHits, 1);
-        }
+        if (result.active[v] && internal[v]) to_test.push_back(v);
       }
       result.vpt_tests += to_test.size();
       pool.parallel_for(0, to_test.size(), [&](std::size_t i, unsigned worker) {
         const VertexId v = to_test[i];
-        VptWorkspace& ws = workspaces[worker];
-        bool verdict;
-        if (config.incremental && balls.has(v)) {
-          // Re-test inside the pooled ball: no global-graph traversal.
-          verdict = vpt_vertex_deletable_cached(balls.view(v), result.active,
-                                                v, vpt, ws);
-        } else {
-          verdict = vpt_vertex_deletable(g, result.active, v, vpt, ws);
-          if (config.incremental) {
-            // The fresh kernel left the punctured member set in ws.members;
-            // capture the ball for the re-tests to come. Workers append to
-            // their own shard and publish distinct per-node slots.
-            obs::add(obs::CounterId::kBallViewBytes,
-                     balls.capture(worker, g, result.active, v, ws.members));
-            obs::profile_count_allocations(1);
-          }
-        }
-        fresh[v] = verdict ? 1 : 0;
+        verdict[v] =
+            vpt_vertex_deletable(g, result.active, v, vpt, workspaces[worker])
+                ? 1
+                : 0;
       });
-      for (const VertexId v : to_test) cache.store(v, fresh[v] != 0);
     }
 
     std::vector<bool> candidate(g.num_vertices(), false);
     std::size_t num_candidates = 0;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (!result.active[v] || !internal[v]) continue;
-      if (cache.verdict(v) == VerdictCache::Verdict::kDeletable) {
+    for (const VertexId v : to_test) {
+      if (verdict[v] != 0) {
         candidate[v] = true;
         ++num_candidates;
       }
@@ -154,27 +104,19 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
       }
     }
 
-    // Step 3: delete the MIS; verdicts within k hops of a deletion (over the
-    // pre-deletion topology) become stale. One multi-source BFS covers the
-    // whole wave — MIS spacing ≥ k+1 keeps the sources distinct but their
-    // k-balls may still meet (at distance up to 2k), and the joint frontier
-    // visits that overlap once.
+    // Step 3: the MIS powers down.
+    std::size_t num_selected = 0;
     {
       TGC_OBS_SPAN(obs::SpanId::kDeletion);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kDeletion);
-      deleted_wave.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        if (selected[v]) deleted_wave.push_back(v);
-      }
-      TGC_CHECK(!deleted_wave.empty());  // MIS of a non-empty set is non-empty
-      cache.note_deletions(g, result.active, deleted_wave, k);
-      result.dirty_marked += cache.last_dirty_marked();
-      for (const VertexId v : deleted_wave) {
+        if (!selected[v]) continue;
         result.active[v] = false;
-        ++result.deleted;
+        ++num_selected;
       }
+      TGC_CHECK(num_selected > 0);  // MIS of a non-empty set is non-empty
+      result.deleted += num_selected;
     }
-    const std::size_t num_selected = deleted_wave.size();
     result.per_round.push_back(DccRoundInfo{num_candidates, num_selected});
     num_active -= num_selected;
     if (config.collector != nullptr) {
@@ -191,13 +133,6 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     }
     if (obs::profile_active()) {
       obs::profile_round(result.rounds);
-      if (config.incremental) {
-        // Ball-arena high-water mark, read at round quiescence (workers'
-        // shard appends have drained) and charged to the verdict phase that
-        // grew it — the verdict scope itself already closed above.
-        obs::profile_note_arena(balls.resident_bytes(),
-                                obs::CostPhase::kVerdicts);
-      }
       obs::profile_mem_sample();
     }
     TGC_LOG(kDebug) << "dcc round" << obs::kv("round", result.rounds)

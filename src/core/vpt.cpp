@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tgcover/core/ball_cache.hpp"
 #include "tgcover/cycle/span.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/obs.hpp"
@@ -15,62 +14,155 @@ namespace {
 using graph::Graph;
 using graph::VertexId;
 
-/// BFS over the active topology from `source`, truncated at `k` hops;
-/// appends the visited vertices excluding the source to `out` (unsorted,
-/// BFS discovery order). Uses the workspace's stamped dist array and flat
-/// frontier — no per-call allocation once the buffers are warm.
-void append_active_k_hop(const Graph& g, const std::vector<bool>& active,
-                         VertexId source, unsigned k, VptWorkspace& ws,
-                         std::vector<VertexId>& out) {
+/// Adjacency source over the global graph: a node mask and an optional link
+/// mask select the current topology.
+struct GraphSource {
+  /// The BFS walks the global topology, so the kernel charges the collected
+  /// ball to `bfs_expansions`.
+  static constexpr bool kTraversesGraph = true;
+
+  const Graph& g;
+  const std::vector<bool>& active;
+  const std::vector<bool>* edge_active = nullptr;  ///< null: every link live
+
+  std::size_t id_bound() const { return g.num_vertices(); }
+
+  /// Calls `fn(w)` for each live neighbour of `u`, ascending.
+  template <typename Fn>
+  void for_each_neighbor(VertexId u, Fn&& fn) const {
+    const auto nbrs = g.neighbors(u);
+    if (edge_active == nullptr) {
+      for (const VertexId w : nbrs) {
+        if (active[w]) fn(w);
+      }
+      return;
+    }
+    const auto eids = g.incident_edges(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (active[nbrs[i]] && (*edge_active)[eids[i]]) fn(nbrs[i]);
+    }
+  }
+};
+
+/// Adjacency source over a node's local view (the data a real node has after
+/// the k-hop collection protocol): the recorded adjacency lists, minus nodes
+/// tombstoned by deletion notices. Deletions may have lengthened paths since
+/// the view was collected, so the kernel's BFS recomputes which recorded
+/// nodes are still within k hops.
+struct ViewSource {
+  /// No global-graph traversal happens (the collection protocol's cost is
+  /// accounted as messages): the scanned member list is charged to
+  /// ball-view bytes instead of `bfs_expansions`.
+  static constexpr bool kTraversesGraph = false;
+
+  const sim::LocalView& view;
+
+  std::size_t id_bound() const {
+    return static_cast<std::size_t>(view.id_bound()) + 1;
+  }
+
+  /// Records keep the origin's sorted adjacency order, so filtered rows stay
+  /// ascending.
+  template <typename Fn>
+  void for_each_neighbor(VertexId u, Fn&& fn) const {
+    if (!view.knows(u)) return;
+    for (const VertexId w : view.record(u)) {
+      if (view.alive(w)) fn(w);
+    }
+  }
+};
+
+/// What a test removes from its ball: vertex `a` (the ball is a's k-hop
+/// neighbourhood, a excluded), or the link (a, b) (the union of both
+/// endpoints' k-hop neighbourhoods, endpoints kept, only the link dropped).
+struct Puncture {
+  VertexId a;
+  VertexId b = graph::kInvalidVertex;
+
+  bool is_link() const { return b != graph::kInvalidVertex; }
+  bool cuts(VertexId x, VertexId y) const {
+    return is_link() && ((x == a && y == b) || (x == b && y == a));
+  }
+};
+
+/// Depth-k multi-source BFS from the puncture's endpoints over `src`; leaves
+/// the ball's members in `ws.members`, sorted ascending.
+template <typename Source>
+void collect_ball(const Source& src, Puncture p, unsigned k,
+                  VptWorkspace& ws) {
+  ws.ensure(src.id_bound());
   ws.dist.clear();
   ws.queue.clear();
-  ws.dist.put(source, 0);
-  ws.queue.push_back(source);
+  ws.members.clear();
+  for (const VertexId s : {p.a, p.b}) {
+    if (s == graph::kInvalidVertex) continue;
+    ws.dist.put(s, 0);
+    ws.queue.push_back(s);
+    if (p.is_link()) ws.members.push_back(s);
+  }
   for (std::size_t head = 0; head < ws.queue.size(); ++head) {
     const VertexId u = ws.queue[head];
     const std::uint32_t du = ws.dist.get(u);
     if (du == k) continue;
-    for (const VertexId w : g.neighbors(u)) {
-      if (!active[w] || ws.dist.contains(w)) continue;
+    src.for_each_neighbor(u, [&](VertexId w) {
+      if (ws.dist.contains(w)) return;
       ws.dist.put(w, du + 1);
-      out.push_back(w);
+      ws.members.push_back(w);
       ws.queue.push_back(w);
-    }
+    });
   }
+  std::sort(ws.members.begin(), ws.members.end());
 }
 
-/// Assigns punctured-local ids 0..|members|-1 in member order through the
-/// workspace's stamped `local` array (replacing the per-test hash map).
-void assign_local_ids(const std::vector<VertexId>& members, VptWorkspace& ws) {
+/// The VPT kernel: collects the ball, builds the punctured ball as a
+/// BallView, and checks the two Definition-5 conditions on it — connected,
+/// and cycles of length ≤ τ span its cycle space (equivalent to maximum
+/// irreducible cycle ≤ τ; DESIGN.md §3), with early exit.
+template <typename Source>
+bool punctured_ball_passes(const Source& src, Puncture p,
+                           const VptConfig& config, VptWorkspace& ws) {
+  collect_ball(src, p, config.effective_k(), ws);
+
+  // Punctured-local ids follow ascending member order. A punctured vertex is
+  // not a member, so its edges never materialize. Rows come out ascending
+  // because members are sorted and every source yields ascending adjacency,
+  // which is what BallView's first-encounter edge-id assignment requires.
   ws.local.clear();
-  for (VertexId i = 0; i < members.size(); ++i) ws.local.put(members[i], i);
-}
+  for (VertexId i = 0; i < ws.members.size(); ++i) {
+    ws.local.put(ws.members[i], i);
+  }
+  ws.ball.build(ws.members.size(), [&](VertexId lx, auto&& emit) {
+    const VertexId x = ws.members[lx];
+    src.for_each_neighbor(x, [&](VertexId y) {
+      if (ws.local.contains(y) && !p.cuts(x, y)) emit(ws.local.get(y));
+    });
+  });
 
-/// The two Definition-5 conditions on an already-built punctured
-/// neighbourhood (Graph or arena-backed BallView).
-template <typename G>
-bool neighbourhood_passes(const G& punctured, unsigned tau,
-                          cycle::SpanScratch& scratch) {
-  if (punctured.num_vertices() == 0) return true;  // nothing local to preserve
-  if (!graph::is_connected(punctured)) return false;
-  return cycle::short_cycles_span(punctured, tau, scratch);
-}
+  bool deletable = true;  // an empty ball has nothing local to preserve
+  if (ws.ball.num_vertices() > 0) {
+    deletable = graph::is_connected(ws.ball) &&
+                cycle::short_cycles_span(ws.ball, config.tau, ws.span);
+  }
 
-/// Accounts one finished deletability test (any operator flavour): the test
-/// itself, its verdict, the global-graph BFS frontier it expanded, and the
-/// ball-view bytes it materialized. `expansions` counts only vertices
-/// discovered by traversing the *global* topology — kernels that evaluate
-/// inside an already-materialized view (pooled ball, distributed local view)
-/// pass 0 and their work shows up under ball-view bytes instead.
-bool record_verdict(bool deletable, std::size_t expansions,
-                    std::size_t ball_bytes) {
+  const std::size_t members = ws.members.size();
   obs::add(obs::CounterId::kVptTests, 1);
   obs::add(deletable ? obs::CounterId::kVptDeletable
                      : obs::CounterId::kVptVetoed,
            1);
-  obs::add(obs::CounterId::kBfsExpansions, expansions);
-  obs::add(obs::CounterId::kBallViewBytes, ball_bytes);
+  obs::add(obs::CounterId::kBfsExpansions,
+           Source::kTraversesGraph ? members : 0);
+  obs::add(obs::CounterId::kBallViewBytes,
+           ws.ball.bytes() +
+               (Source::kTraversesGraph ? 0 : members * sizeof(VertexId)));
   return deletable;
+}
+
+bool edge_test(const GraphSource& src, graph::EdgeId e,
+               const VptConfig& config, VptWorkspace& ws) {
+  TGC_CHECK(src.active.size() == src.g.num_vertices());
+  const auto [u, v] = src.g.edge(e);
+  TGC_CHECK(src.active[u] && src.active[v]);
+  return punctured_ball_passes(src, Puncture{u, v}, config, ws);
 }
 
 }  // namespace
@@ -86,25 +178,8 @@ bool vpt_vertex_deletable(const Graph& g, const std::vector<bool>& active,
                           VptWorkspace& ws) {
   TGC_CHECK(active.size() == g.num_vertices());
   TGC_CHECK_MSG(active[v], "VPT test on inactive vertex " << v);
-  const unsigned k = config.effective_k();
-  ws.ensure(g.num_vertices());
-
-  ws.members.clear();
-  append_active_k_hop(g, active, v, k, ws, ws.members);
-  std::sort(ws.members.begin(), ws.members.end());
-
-  // Build the punctured neighbourhood directly: v is not a member, so its
-  // edges never materialize. Rows come out sorted because members are sorted
-  // and Graph adjacency is sorted, which is what BallView's first-encounter
-  // edge-id assignment requires.
-  assign_local_ids(ws.members, ws);
-  ws.ball.build(ws.members.size(), [&](VertexId la, auto&& emit) {
-    for (const VertexId b : g.neighbors(ws.members[la])) {
-      if (active[b] && ws.local.contains(b)) emit(ws.local.get(b));
-    }
-  });
-  return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span),
-                        ws.members.size(), ws.ball.bytes());
+  return punctured_ball_passes(GraphSource{g, active}, Puncture{v}, config,
+                               ws);
 }
 
 bool vpt_vertex_deletable_local(const sim::LocalView& view,
@@ -116,110 +191,8 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
 bool vpt_vertex_deletable_local(const sim::LocalView& view,
                                 const VptConfig& config, VptWorkspace& ws) {
   TGC_CHECK(view.owner != graph::kInvalidVertex);
-  const unsigned k = config.effective_k();
-
-  // The view's records carry global ids; size the stamped arrays to cover
-  // every id they mention (cheap single scan, amortized by resize-only-grows).
-  ws.ensure(static_cast<std::size_t>(view.id_bound()) + 1);
-
-  // BFS inside the view: deletions may have lengthened paths since the view
-  // was collected, so recompute which recorded nodes are still within k hops.
-  // Tombstoned (erased) nodes neither relay nor appear as members.
-  ws.dist.clear();
-  ws.queue.clear();
-  ws.members.clear();
-  ws.dist.put(view.owner, 0);
-  ws.queue.push_back(view.owner);
-  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
-    const VertexId u = ws.queue[head];
-    const std::uint32_t du = ws.dist.get(u);
-    if (du == k) continue;
-    if (!view.knows(u)) continue;
-    for (const VertexId w : view.record(u)) {
-      if (!view.alive(w) || ws.dist.contains(w)) continue;
-      ws.dist.put(w, du + 1);
-      ws.members.push_back(w);
-      ws.queue.push_back(w);
-    }
-  }
-  std::sort(ws.members.begin(), ws.members.end());
-
-  // Build the punctured neighbourhood from the view's adjacency records.
-  // Records preserve the origin's sorted adjacency order, so the filtered
-  // rows are ascending as BallView requires.
-  assign_local_ids(ws.members, ws);
-  ws.ball.build(ws.members.size(), [&](VertexId lu, auto&& emit) {
-    const VertexId u = ws.members[lu];
-    if (!view.knows(u)) return;
-    for (const VertexId w : view.record(u)) {
-      if (view.alive(w) && ws.local.contains(w)) emit(ws.local.get(w));
-    }
-  });
-  // No global-graph traversal happened: the BFS ran over the view's arena
-  // records (the collection protocol's cost is accounted as messages).
-  return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span), 0,
-                        ws.members.size() * sizeof(VertexId) +
-                            ws.ball.bytes());
-}
-
-bool vpt_vertex_deletable_cached(const BallCache::View& view,
-                                 const std::vector<bool>& active, VertexId v,
-                                 const VptConfig& config, VptWorkspace& ws) {
-  TGC_CHECK(!view.members.empty());
-  TGC_CHECK_MSG(active[v], "VPT test on inactive vertex " << v);
-  const unsigned k = config.effective_k();
-  // Member ids are global; the sorted list's back bounds every id the BFS
-  // and the local-id map will touch.
-  ws.ensure(static_cast<std::size_t>(view.members.back()) + 1);
-
-  // Map member → pooled row index so the BFS can follow rows by id.
-  ws.local.clear();
-  for (VertexId i = 0; i < view.members.size(); ++i) {
-    ws.local.put(view.members[i], i);
-  }
-
-  // BFS inside the pooled ball, filtered by the *current* active mask.
-  // Deletions since capture only shrink the active set, so every live ≤ k-hop
-  // path lies within the captured members and rows (see BallCache) — the
-  // membership this computes is exactly what a fresh BFS over the active
-  // topology would find, without touching the global graph.
-  ws.dist.clear();
-  ws.queue.clear();
-  ws.members.clear();
-  ws.dist.put(v, 0);
-  ws.queue.push_back(v);
-  std::size_t bytes_scanned = view.members.size() * sizeof(VertexId);
-  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
-    const VertexId u = ws.queue[head];
-    const std::uint32_t du = ws.dist.get(u);
-    if (du == k) continue;
-    const auto row = view.row(ws.local.get(u));
-    bytes_scanned += row.size() * sizeof(VertexId);
-    for (const VertexId w : row) {
-      if (!active[w] || ws.dist.contains(w)) continue;
-      ws.dist.put(w, du + 1);
-      ws.members.push_back(w);
-      ws.queue.push_back(w);
-    }
-  }
-  std::sort(ws.members.begin(), ws.members.end());
-
-  // Build the punctured neighbourhood from the pooled rows. Reassigning
-  // ws.local to punctured ids loses the row index, so rows are re-found by
-  // binary search over the sorted member list; v itself never gets a
-  // punctured id, so its edges vanish exactly as in the fresh kernel.
-  assign_local_ids(ws.members, ws);
-  ws.ball.build(ws.members.size(), [&](VertexId lu, auto&& emit) {
-    const VertexId u = ws.members[lu];
-    const std::size_t iu = static_cast<std::size_t>(
-        std::lower_bound(view.members.begin(), view.members.end(), u) -
-        view.members.begin());
-    for (const VertexId w : view.row(iu)) {
-      if (active[w] && ws.local.contains(w)) emit(ws.local.get(w));
-    }
-  });
-  return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span), 0,
-                        bytes_scanned + ws.ball.bytes());
+  return punctured_ball_passes(ViewSource{view}, Puncture{view.owner}, config,
+                               ws);
 }
 
 bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
@@ -231,32 +204,26 @@ bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
 bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
                         graph::EdgeId e, const VptConfig& config,
                         VptWorkspace& ws) {
-  TGC_CHECK(active.size() == g.num_vertices());
+  return edge_test(GraphSource{g, active}, e, config, ws);
+}
+
+bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
+                        const std::vector<bool>& edge_active, graph::EdgeId e,
+                        const VptConfig& config, VptWorkspace& ws) {
+  TGC_CHECK(edge_active.size() == g.num_edges());
+  TGC_CHECK_MSG(edge_active[e], "VPT test on deleted link " << e);
+  return edge_test(GraphSource{g, active, &edge_active}, e, config, ws);
+}
+
+std::span<const VertexId> edge_ball(const Graph& g,
+                                    const std::vector<bool>& active,
+                                    const std::vector<bool>& edge_active,
+                                    graph::EdgeId e, unsigned k,
+                                    VptWorkspace& ws) {
+  TGC_CHECK(edge_active.size() == g.num_edges());
   const auto [u, v] = g.edge(e);
-  TGC_CHECK(active[u] && active[v]);
-  const unsigned k = config.effective_k();
-  ws.ensure(g.num_vertices());
-
-  ws.members.clear();
-  append_active_k_hop(g, active, u, k, ws, ws.members);
-  ws.members.push_back(u);  // the edge's endpoints stay; only the link goes
-  append_active_k_hop(g, active, v, k, ws, ws.members);
-  ws.members.push_back(v);
-  std::sort(ws.members.begin(), ws.members.end());
-  ws.members.erase(std::unique(ws.members.begin(), ws.members.end()),
-                   ws.members.end());
-
-  assign_local_ids(ws.members, ws);
-  ws.ball.build(ws.members.size(), [&](VertexId la, auto&& emit) {
-    const VertexId a = ws.members[la];
-    for (const VertexId b : g.neighbors(a)) {
-      if (!active[b] || !ws.local.contains(b)) continue;
-      if ((a == u && b == v) || (a == v && b == u)) continue;  // puncture
-      emit(ws.local.get(b));
-    }
-  });
-  return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span),
-                        ws.members.size(), ws.ball.bytes());
+  collect_ball(GraphSource{g, active, &edge_active}, Puncture{u, v}, k, ws);
+  return ws.members;
 }
 
 }  // namespace tgc::core

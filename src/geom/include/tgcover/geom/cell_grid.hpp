@@ -15,7 +15,7 @@ namespace tgc::geom {
 /// This takes the deployment generators (gen::deployments) and the coverage
 /// verifier (geom::analyze_coverage) from O(n²)-style scans to near-linear —
 /// the difference between minutes and milliseconds at the 10⁵-node scale the
-/// incremental scheduler targets.
+/// scheduler targets.
 ///
 /// The grid indexes a snapshot of `positions` by reference; it must outlive
 /// the grid. Cell membership is CSR-packed by counting sort, so construction

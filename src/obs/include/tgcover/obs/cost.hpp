@@ -37,8 +37,8 @@ enum class CounterId : unsigned {
   kRepairWaves,       ///< wake-radius escalations performed by dcc_repair
   kMessagesLost,      ///< transmissions lost on the air (AsyncEngine)
   kRetransmissions,   ///< α-synchronizer retransmissions of unacked messages
-  kVerdictCacheHits,  ///< VPT verdicts reused from the cross-round cache
-  kDirtyNodes,        ///< nodes re-marked dirty by deletion/wake frontiers
+  kVerdictCacheHits,  ///< always 0: rounds re-test every node (DESIGN §11)
+  kDirtyNodes,        ///< always 0: rounds re-test every node (DESIGN §11)
   kBallViewBytes,     ///< logical bytes of punctured ball views materialized
   kCount
 };
@@ -55,7 +55,7 @@ std::string_view counter_name(CounterId id);
 enum class CostPhase : unsigned {
   kVerdicts,  ///< DCC Step 1: VPT verdict fan-out
   kMis,       ///< DCC Step 2: m-hop MIS election
-  kDeletion,  ///< DCC Step 3: deletion + dirty propagation
+  kDeletion,  ///< DCC Step 3: deletion
   kKhop,      ///< distributed executor: k-hop view collection
   kRepair,    ///< dcc_repair wake-radius escalation (outside nested phases)
   kOther,     ///< work outside any declared phase
@@ -106,11 +106,11 @@ struct CostVec {
 /// logical cost per primitive operation. Sub-counts (deletable/vetoed are a
 /// partition of tests, lost is a subset of messages) and payload_words (a
 /// different unit) are excluded to avoid double counting — see DESIGN.md §10.
-/// The incremental-round bookkeeping counters (verdict_cache_hits,
-/// dirty_nodes, ball_view_bytes) are likewise excluded: hits and dirty marks
-/// describe work *avoided* or re-queued, not performed, and bytes are a
-/// memory unit — all three remain machine-independent and exact-match gated
-/// as their own bench columns.
+/// verdict_cache_hits, dirty_nodes and ball_view_bytes are likewise
+/// excluded: the first two stay 0 since rounds stopped caching verdicts
+/// (their columns remain for existing readers), and bytes are a memory unit
+/// — all three remain machine-independent and exact-match gated as their own
+/// bench columns.
 std::uint64_t logical_cost(const CostVec& v);
 
 /// Registry state split by phase. `total()` collapses the phase axis and is

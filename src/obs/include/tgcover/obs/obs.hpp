@@ -33,7 +33,7 @@ inline constexpr bool kCompiledIn = TGC_OBS_ENABLED != 0;
 enum class SpanId : unsigned {
   kVerdicts,     ///< DCC Step 1: the per-round VPT verdict fan-out
   kMis,          ///< DCC Step 2: m-hop MIS election
-  kDeletion,     ///< DCC Step 3: deletion + dirty propagation
+  kDeletion,     ///< DCC Step 3: deletion
   kKhopCollect,  ///< distributed executor: k-hop view collection
   kRepairWave,   ///< one wake-radius escalation of dcc_repair
   kCount

@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "tgcover/app/cli.hpp"
+#include "tgcover/core/criterion.hpp"
+#include "tgcover/core/pipeline.hpp"
+#include "tgcover/io/network_io.hpp"
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/util/check.hpp"
 
@@ -331,6 +334,57 @@ TEST_F(CliFixture, RepairCommand) {
   EXPECT_TRUE(fs::exists(repaired));
   // No failures: repair restores iff the schedule certified to begin with.
   EXPECT_EQ(rc, verify_rc);
+}
+
+TEST_F(CliFixture, RepairWithCrashedBoundaryNodeIsNotRestorable) {
+  // Crashing every 10th awake node takes boundary-cycle nodes down with the
+  // rest. A CB edge that lost an endpoint is not in the active topology, so
+  // CB cannot be partitioned at any τ: repair must report "not restorable"
+  // rather than fail a check while mapping CB onto the active graph.
+  std::string out;
+  ASSERT_EQ(run({"generate", "--nodes", "200", "--degree", "20", "--seed",
+                 "5", "--out", net_.c_str()},
+                &out),
+            0);
+  ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--tau", "4", "--out",
+                 sched_.c_str()},
+                &out),
+            0);
+  const std::vector<bool> awake = io::load_mask(sched_);
+  std::vector<bool> failed(awake.size(), false);
+  std::size_t seen = 0;
+  for (std::size_t v = 0; v < awake.size(); ++v) {
+    if (awake[v] && seen++ % 10 == 0) failed[v] = true;
+  }
+  const std::string failed_path = (dir_ / "failed.tgc").string();
+  io::save_mask(failed, failed_path);
+
+  const core::Network net =
+      core::prepare_network(io::load_deployment(net_), 1.0);
+  std::vector<bool> survivors = awake;
+  for (std::size_t v = 0; v < awake.size(); ++v) {
+    if (failed[v]) survivors[v] = false;
+  }
+  bool cb_broken = false;
+  net.cb.for_each_set_bit([&](std::size_t e) {
+    const auto [u, v] = net.dep.graph.edge(static_cast<graph::EdgeId>(e));
+    if (failed[u] || failed[v]) cb_broken = true;
+  });
+  ASSERT_TRUE(cb_broken) << "the crash set must hit the boundary cycle";
+  EXPECT_FALSE(core::criterion_holds(net.dep.graph, survivors, net.cb, 4));
+  EXPECT_FALSE(
+      core::find_partition(net.dep.graph, survivors, net.cb, 4).has_value());
+  EXPECT_EQ(
+      core::smallest_certifiable_tau(net.dep.graph, survivors, net.cb, 8), 0u);
+
+  const std::string repaired = (dir_ / "repaired.tgc").string();
+  EXPECT_EQ(run({"repair", "--in", net_.c_str(), "--schedule",
+                 sched_.c_str(), "--failed", failed_path.c_str(), "--tau",
+                 "4", "--out", repaired.c_str()},
+                &out),
+            1);
+  EXPECT_NE(out.find("not restorable"), std::string::npos) << out;
+  EXPECT_TRUE(fs::exists(repaired));
 }
 
 TEST(Cli, HelpAndErrors) {

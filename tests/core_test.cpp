@@ -391,18 +391,6 @@ TEST_F(SchedulerFixture, DeterministicForSeed) {
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
-TEST_F(SchedulerFixture, VerdictCacheDoesNotChangeResult) {
-  DccConfig cached;
-  cached.tau = 4;
-  cached.seed = 3;
-  DccConfig uncached = cached;
-  uncached.incremental = false;
-  const DccResult a = dcc_schedule(dep_.graph, internal_, cached);
-  const DccResult b = dcc_schedule(dep_.graph, internal_, uncached);
-  EXPECT_EQ(a.active, b.active);
-  EXPECT_LT(a.vpt_tests, b.vpt_tests);  // the cache must actually save work
-}
-
 TEST(Scheduler, ParallelScheduleBitIdenticalToSerial) {
   // The Step-1 verdict fan-out reads only the pre-round active snapshot, so
   // every thread count must produce the exact same schedule — active mask,

@@ -210,20 +210,6 @@ TEST(EdgeScheduler, PreservesCriterionOnDeployment) {
   EXPECT_TRUE(criterion_holds(pruned, everyone, cb_pruned, tau));
 }
 
-TEST(EdgeScheduler, CacheDoesNotChangeResult) {
-  util::Rng rng(72);
-  const auto dep = gen::random_connected_udg(60, 3.9, 1.0, rng);
-  const std::vector<bool> nodes(dep.graph.num_vertices(), true);
-  DccConfig cached;
-  cached.tau = 4;
-  DccConfig uncached = cached;
-  uncached.incremental = false;
-  const auto a = dcc_schedule_edges(dep.graph, nodes, util::Gf2Vector(), cached);
-  const auto b =
-      dcc_schedule_edges(dep.graph, nodes, util::Gf2Vector(), uncached);
-  EXPECT_EQ(a.edge_active, b.edge_active);
-}
-
 // ------------------------------------------------------------------ repair
 
 class RepairFixture : public ::testing::Test {

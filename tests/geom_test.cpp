@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <numbers>
 
+#include "tgcover/gen/deployments.hpp"
 #include "tgcover/geom/cell_grid.hpp"
 #include "tgcover/geom/coverage.hpp"
 #include "tgcover/geom/embedding.hpp"
@@ -476,6 +477,31 @@ TEST(CellGrid, CoverageMatchesBruteForceRasterization) {
   EXPECT_EQ(a.covered_cells, covered);
   EXPECT_GT(a.covered_cells, 0u);
   EXPECT_LT(a.covered_cells, a.total_cells);
+}
+
+// ------------------------------------------------------------- generators
+
+TEST(CellGridTest, UdgEdgesMatchBruteForceScan) {
+  // The cell-grid generator must reproduce the quadratic all-pairs scan
+  // exactly: same edge set in the same edge-id (insertion) order. Dozens of
+  // tests pin seeded topologies, so any reordering would show up loudly —
+  // this test states the contract directly.
+  using graph::Graph;
+  using graph::VertexId;
+  util::Rng rng(314);
+  const gen::Deployment dep = gen::random_udg(600, 10.0, 1.0, rng);
+  const Graph& g = dep.graph;
+  std::size_t next_edge = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (VertexId v = u + 1; v < g.num_vertices(); ++v) {
+      if (geom::dist2(dep.positions[u], dep.positions[v]) <= dep.rc * dep.rc) {
+        ASSERT_LT(next_edge, g.num_edges());
+        EXPECT_EQ(g.edge(next_edge), std::make_pair(u, v));
+        ++next_edge;
+      }
+    }
+  }
+  EXPECT_EQ(next_edge, g.num_edges());
 }
 
 }  // namespace

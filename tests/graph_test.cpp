@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tgcover/gen/deployments.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/graph/graph.hpp"
 #include "tgcover/graph/subgraph.hpp"
@@ -273,6 +274,49 @@ TEST(FilterActive, KeepsIdsDropsEdges) {
   EXPECT_EQ(f.degree(2), 0u);
   EXPECT_TRUE(f.has_edge(0, 4));
   EXPECT_FALSE(f.has_edge(0, 2));
+}
+
+// ------------------------------------------------------------ ball views
+
+TEST(BallViewTest, MatchesInducedSubgraph) {
+  // The arena-backed BallView must be structurally identical to the
+  // builder-based induced subgraph it replaced: same local vertex order
+  // (ascending member), same adjacency, and — load-bearing for Horton and
+  // the GF(2) pivots — the same edge-id assignment.
+  util::Rng rng(9091);
+  const gen::Deployment dep = gen::random_connected_udg(130, 4.8, 1.0, rng);
+  const Graph& g = dep.graph;
+  for (const VertexId v : {VertexId{0}, VertexId{17}, VertexId{64}}) {
+    for (const unsigned k : {1u, 2u, 3u}) {
+      std::vector<VertexId> members = graph::k_hop_neighbors(g, v, k);
+      if (members.empty()) continue;
+
+      std::vector<VertexId> local_of(g.num_vertices(), graph::kInvalidVertex);
+      for (VertexId i = 0; i < members.size(); ++i) local_of[members[i]] = i;
+      graph::BallView ball;
+      ball.build(members.size(), [&](VertexId la, auto&& emit) {
+        for (const VertexId b : g.neighbors(members[la])) {
+          if (local_of[b] != graph::kInvalidVertex) emit(local_of[b]);
+        }
+      });
+
+      const graph::InducedSubgraph want = graph::induce_vertices(g, members);
+      ASSERT_EQ(ball.num_vertices(), want.graph.num_vertices());
+      ASSERT_EQ(ball.num_edges(), want.graph.num_edges());
+      for (VertexId lu = 0; lu < ball.num_vertices(); ++lu) {
+        const auto got_n = ball.neighbors(lu);
+        const auto want_n = want.graph.neighbors(lu);
+        ASSERT_EQ(got_n.size(), want_n.size()) << "v " << v << " local " << lu;
+        EXPECT_TRUE(std::equal(got_n.begin(), got_n.end(), want_n.begin()));
+        const auto got_e = ball.incident_edges(lu);
+        const auto want_e = want.graph.incident_edges(lu);
+        EXPECT_TRUE(std::equal(got_e.begin(), got_e.end(), want_e.begin()));
+      }
+      for (graph::EdgeId e = 0; e < ball.num_edges(); ++e) {
+        EXPECT_EQ(ball.edge(e), want.graph.edge(e)) << "edge " << e;
+      }
+    }
+  }
 }
 
 }  // namespace

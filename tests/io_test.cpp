@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "tgcover/gen/deployments.hpp"
 #include "tgcover/io/network_io.hpp"
@@ -82,6 +84,61 @@ TEST(NetworkIo, RejectsTruncatedFile) {
 
 TEST(NetworkIo, RejectsOutOfRangeMaskId) {
   std::stringstream buffer("tgcover-mask 1\nnodes 3\nset 9\n");
+  EXPECT_THROW(load_mask(buffer), tgc::CheckError);
+}
+
+TEST(NetworkIo, RejectsEachMalformedFieldAtItsLine) {
+  // One malformed value per field of a valid 3-node file. The reader must
+  // refuse each one with a message naming the field and its line.
+  const std::vector<std::string> valid{
+      "tgcover-network 1", "nodes 3",  "rc 1.5",   "area 0 0 4 4",
+      "pos 0 1 1",         "pos 1 2 1", "pos 2 1.5 2", "edges 2",
+      "e 0 1",             "e 1 2"};
+  struct Case {
+    std::size_t line;  // 1-based line of `valid` to replace
+    std::string text;
+    std::string expect;  // substring of the error message
+  };
+  const std::vector<Case> cases{
+      {1, "tgcover-network x", "line 1: format version"},
+      {2, "nodes -3", "line 2: nodes"},
+      {3, "rc nan", "line 3: rc"},
+      {3, "rc 0", "line 3: rc must be > 0"},
+      {3, "rc inf", "line 3: rc"},
+      {4, "area 0 0 4", "line 4: area ymax"},
+      {4, "area nan 0 4 4", "line 4: area xmin"},
+      {4, "area 0 0 4 -inf", "line 4: area ymax"},
+      {4, "area 4 0 0 4", "line 4: area needs min < max"},
+      {5, "pos x 1 1", "line 5: pos id"},
+      {5, "pos 0 abc 1", "line 5: pos x"},
+      {5, "pos 0 1 nan", "line 5: pos y"},
+      {5, "pos 0 1 1 7", "line 5: unexpected '7'"},
+      {8, "edges two", "line 8: edges"},
+      {9, "e 0 q", "line 9: edge endpoint"},
+      {9, "e 0 5", "line 9: duplicate or invalid edge"},
+  };
+  {
+    std::stringstream ok;
+    for (const std::string& text : valid) ok << text << '\n';
+    EXPECT_EQ(load_deployment(ok).graph.num_edges(), 2u);
+  }
+  for (const Case& c : cases) {
+    std::stringstream buffer;
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      buffer << (i + 1 == c.line ? c.text : valid[i]) << '\n';
+    }
+    try {
+      load_deployment(buffer);
+      ADD_FAILURE() << "accepted '" << c.text << "'";
+    } catch (const tgc::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
+          << "'" << c.text << "' gave: " << e.what();
+    }
+  }
+}
+
+TEST(NetworkIo, RejectsMalformedMaskId) {
+  std::stringstream buffer("tgcover-mask 1\nnodes 3\nset abc\n");
   EXPECT_THROW(load_mask(buffer), tgc::CheckError);
 }
 
