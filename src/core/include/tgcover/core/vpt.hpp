@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "tgcover/cycle/span.hpp"
+#include "tgcover/graph/algorithms.hpp"
 #include "tgcover/graph/graph.hpp"
 #include "tgcover/graph/subgraph.hpp"
 #include "tgcover/sim/khop.hpp"
@@ -43,7 +44,8 @@ struct VptWorkspace {
   std::vector<graph::VertexId> queue;        ///< flat BFS frontier
   std::vector<graph::VertexId> members;      ///< collected k-hop neighbourhood
   graph::BallView ball;                      ///< arena-backed punctured view
-  cycle::SpanScratch span;                   ///< candidate vector + dedup table
+  graph::ComponentScratch components;        ///< connectivity check buffers
+  cycle::SpanScratch span;                   ///< τ-span kernel buffers
 
   /// Grows the vertex-indexed arrays to cover ids < n (never shrinks).
   void ensure(std::size_t n) {

@@ -140,7 +140,7 @@ bool punctured_ball_passes(const Source& src, Puncture p,
 
   bool deletable = true;  // an empty ball has nothing local to preserve
   if (ws.ball.num_vertices() > 0) {
-    deletable = graph::is_connected(ws.ball) &&
+    deletable = graph::is_connected(ws.ball, ws.components) &&
                 cycle::short_cycles_span(ws.ball, config.tau, ws.span);
   }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "tgcover/graph/algorithms.hpp"
@@ -9,41 +8,6 @@
 #include "tgcover/util/gf2.hpp"
 
 namespace tgc::cycle {
-
-/// Content-addressed set of cycle incidence vectors.
-///
-/// Candidates are regenerated from many BFS roots, so both the candidate
-/// enumerator and the streaming span test dedup by `Gf2Vector::hash()` with
-/// an exact vector comparison on hash collision — a colliding pair of
-/// *distinct* cycles must both survive (regression-tested in cycle_test).
-/// `reserve` from the chord-count estimate up front: the table spans every
-/// root, and growing it mid-stream rehashes all buckets.
-class CycleDedup {
- public:
-  void reserve(std::size_t expected) { seen_.reserve(expected); }
-
-  /// Returns true iff `vec` was not seen before, recording a copy if so.
-  bool insert(const util::Gf2Vector& vec) {
-    auto& bucket = seen_[vec.hash()];
-    for (const util::Gf2Vector& prev : bucket) {
-      if (prev == vec) return false;
-    }
-    bucket.push_back(vec);
-    ++size_;
-    return true;
-  }
-
-  std::size_t size() const { return size_; }
-
-  void clear() {
-    seen_.clear();  // keeps the bucket array for the next stream
-    size_ = 0;
-  }
-
- private:
-  std::unordered_map<std::uint64_t, std::vector<util::Gf2Vector>> seen_;
-  std::size_t size_ = 0;
-};
 
 /// A candidate cycle produced by the Horton-style generator.
 struct CandidateCycle {

@@ -260,48 +260,6 @@ TEST(Candidates, LengthCapFilters) {
   for (const auto& c : cands) EXPECT_LE(c.length, 4u);
 }
 
-// Builds a 128-bit vector from two explicit words.
-util::Gf2Vector vector_from_words(std::uint64_t w0, std::uint64_t w1) {
-  util::Gf2Vector v(128);
-  for (std::size_t b = 0; b < 64; ++b) {
-    if ((w0 >> b) & 1u) v.set(b);
-    if ((w1 >> b) & 1u) v.set(64 + b);
-  }
-  return v;
-}
-
-TEST(Candidates, DedupSurvivesHashCollision) {
-  // Engineer two distinct edge vectors with identical Gf2Vector::hash().
-  // The hash folds words with h = (h ^ w) * p and finishes with a bijective
-  // avalanche, so two 2-word vectors collide iff their pre-avalanche values
-  // match: flip word 0 by `a`, then word 1 must absorb the resulting fold
-  // difference `d`.
-  const std::uint64_t p = 0x100000001b3ull;
-  const std::uint64_t seed = 0xcbf29ce484222325ull ^ 128u;
-  const std::uint64_t w0 = 0x0123456789abcdefull;
-  const std::uint64_t w1 = 0xfedcba9876543210ull;
-  const std::uint64_t a = 0x5555aaaa5555aaaaull;
-  const std::uint64_t d = ((seed ^ w0) * p) ^ ((seed ^ w0 ^ a) * p);
-
-  const util::Gf2Vector c1 = vector_from_words(w0, w1);
-  const util::Gf2Vector c2 = vector_from_words(w0 ^ a, w1 ^ d);
-  ASSERT_FALSE(c1 == c2);
-  ASSERT_EQ(c1.hash(), c2.hash());
-
-  // A hash-only dedup would drop the second cycle; the exact-compare bucket
-  // must keep both, while genuine duplicates are still rejected.
-  CycleDedup dedup;
-  EXPECT_TRUE(dedup.insert(c1));
-  EXPECT_TRUE(dedup.insert(c2));
-  EXPECT_FALSE(dedup.insert(c1));
-  EXPECT_FALSE(dedup.insert(c2));
-  EXPECT_EQ(dedup.size(), 2u);
-
-  dedup.clear();
-  EXPECT_EQ(dedup.size(), 0u);
-  EXPECT_TRUE(dedup.insert(c2));
-}
-
 TEST(Candidates, CandidatesSpanCycleSpace) {
   const Graph g = random_graph(12, 24, 99);
   const auto cands = fundamental_cycle_candidates(g);
@@ -463,6 +421,89 @@ TEST(SpanContain, MobiusOuterVsCore) {
 TEST(SpanContain, ZeroVectorAlwaysContained) {
   const Graph g = cycle_graph(6);
   EXPECT_TRUE(short_cycles_contain(g, 3, util::Gf2Vector(g.num_edges())));
+}
+
+TEST(SpanContain, OddDegreeTargetIsRejected) {
+  // K5's triangles span its whole cycle space, so only the cycle-space check
+  // can reject these: a single edge, and a triangle plus a pendant edge.
+  const Graph g = complete_graph(5);
+  ASSERT_TRUE(short_cycles_span(g, 3));
+  util::Gf2Vector edge(g.num_edges());
+  edge.set(*g.edge_between(0, 1));
+  EXPECT_FALSE(short_cycles_contain(g, 3, edge));
+  const VertexId tri[] = {0, 1, 2};
+  util::Gf2Vector tail = Cycle::from_vertex_sequence(g, tri).edges();
+  tail.set(*g.edge_between(2, 3));
+  EXPECT_FALSE(short_cycles_contain(g, 3, tail));
+}
+
+TEST(SpanContain, ZeroTargetOnAForest) {
+  GraphBuilder b(5);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(3, 4);
+  const Graph g = b.build();
+  EXPECT_TRUE(short_cycles_contain(g, 3, util::Gf2Vector(g.num_edges())));
+  EXPECT_TRUE(short_cycles_contain(g, 6, util::Gf2Vector(g.num_edges())));
+}
+
+TEST(SpanContain, DisconnectedGraph) {
+  // A triangle, a square and an isolated vertex: each component's cycles
+  // are reduced in its own coordinates.
+  GraphBuilder b(8);
+  const VertexId tri[] = {0, 1, 2};
+  const VertexId square[] = {3, 4, 5, 6};
+  for (std::size_t i = 0; i < 3; ++i) b.add_edge(tri[i], tri[(i + 1) % 3]);
+  for (std::size_t i = 0; i < 4; ++i) {
+    b.add_edge(square[i], square[(i + 1) % 4]);
+  }
+  const Graph g = b.build();
+  const Cycle t = Cycle::from_vertex_sequence(g, tri);
+  const Cycle q = Cycle::from_vertex_sequence(g, square);
+  util::Gf2Vector both = t.edges();
+  both.xor_assign(q.edges());
+  EXPECT_TRUE(short_cycles_contain(g, 3, t.edges()));
+  EXPECT_FALSE(short_cycles_contain(g, 3, q.edges()));
+  EXPECT_FALSE(short_cycles_contain(g, 3, both));
+  EXPECT_TRUE(short_cycles_contain(g, 4, q.edges()));
+  EXPECT_TRUE(short_cycles_contain(g, 4, both));
+  EXPECT_FALSE(short_cycles_span(g, 3));
+  EXPECT_TRUE(short_cycles_span(g, 4));
+}
+
+TEST(SpanContain, AgreesWithShortCycleBasisOnRandomGraphs) {
+  // Targets: sums of random MCB cycles (cycle-space elements, some outside
+  // S_τ) and random edge sets (mostly not cycle-space elements). Sparse
+  // seeds give disconnected graphs.
+  std::size_t inside = 0;
+  std::size_t outside = 0;
+  for (std::uint64_t seed = 71; seed <= 78; ++seed) {
+    util::Rng rng(seed);
+    const std::size_t edges = seed % 2 == 0 ? 16 : 30;
+    const Graph g = random_graph(14, edges, seed);
+    const auto mcb = minimum_cycle_basis(g);
+    for (const std::uint32_t tau : {3u, 4u, 5u, 6u}) {
+      const ShortCycleBasis basis(g, tau);
+      for (int trial = 0; trial < 12; ++trial) {
+        util::Gf2Vector target(g.num_edges());
+        if (trial % 3 == 2) {
+          for (std::size_t e = 0; e < g.num_edges(); ++e) {
+            if (rng.bernoulli(0.3)) target.set(e);
+          }
+        } else {
+          for (const Cycle& c : mcb.cycles) {
+            if (rng.bernoulli(0.5)) target.xor_assign(c.edges());
+          }
+        }
+        const bool want = basis.contains(target);
+        EXPECT_EQ(short_cycles_contain(g, tau, target), want)
+            << "seed " << seed << " tau " << tau << " trial " << trial;
+        ++(want ? inside : outside);
+      }
+    }
+  }
+  EXPECT_GT(inside, 0u);
+  EXPECT_GT(outside, 0u);
 }
 
 TEST(ShortCycleBasis, RanksAndSpan) {
