@@ -319,5 +319,20 @@ TEST(BallViewTest, MatchesInducedSubgraph) {
   }
 }
 
+TEST(BallViewTest, RejectsAsymmetricRows) {
+  // Each direction of a one-sided link: a lower row naming a higher vertex
+  // whose row omits it, and a higher row naming a lower one that omits it.
+  const std::vector<std::vector<VertexId>> lower_only = {{1, 2}, {0}, {}};
+  const std::vector<std::vector<VertexId>> higher_only = {{1}, {0}, {0}};
+  for (const auto* rows : {&lower_only, &higher_only}) {
+    graph::BallView ball;
+    EXPECT_THROW(ball.build(rows->size(),
+                            [&](VertexId la, auto&& emit) {
+                              for (const VertexId lb : (*rows)[la]) emit(lb);
+                            }),
+                 tgc::CheckError);
+  }
+}
+
 }  // namespace
 }  // namespace tgc::graph
