@@ -47,6 +47,7 @@
 #include "tgcover/obs/manifest.hpp"
 #include "tgcover/obs/node_stats.hpp"
 #include "tgcover/obs/obs.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/obs/profile.hpp"
 #include "tgcover/obs/quality.hpp"
 #include "tgcover/obs/round_log.hpp"
@@ -201,6 +202,41 @@ obs::RunManifest make_manifest(const std::string& command,
   return true;
 }
 
+/// Writes one sink: the embedded manifest header line (unless `header` is
+/// false — the Chrome trace is plain JSON), then `body`, a checked close,
+/// and the manifest.json sidecar. On failure logs "<what> sink failed" with
+/// the reason and returns false; the caller turns that into a non-zero exit.
+template <typename Body>
+[[nodiscard]] bool write_sink(const std::string& path, const char* what,
+                              const obs::RunManifest& manifest, Body&& body,
+                              bool header = true) {
+  obs::JsonlWriter w(path);
+  if (w.ok()) {
+    if (header) w.stream() << obs::manifest_header_line(manifest) << "\n";
+    body(w.stream());
+  }
+  if (!w.close()) {
+    TGC_LOG(kError) << what << " sink failed" << obs::kv("error", w.error());
+    return false;
+  }
+  return write_manifest_sidecar(manifest, path);
+}
+
+/// Writes a rendered HTML dashboard. On failure logs it, prints the error
+/// line and returns false.
+[[nodiscard]] bool write_html(const std::string& path, const std::string& html,
+                              std::ostream& out) {
+  std::ofstream f(path, std::ios::binary);
+  f << html;
+  f.flush();
+  if (!f.good()) {
+    TGC_LOG(kError) << "report sink failed" << obs::kv("path", path);
+    out << "error: cannot write '" << path << "'\n";
+    return false;
+  }
+  return true;
+}
+
 // ------------------------------------------------------------- telemetry
 
 /// The telemetry knobs shared by the scheduling commands. Declaring them
@@ -237,17 +273,10 @@ MetricsOptions declare_metrics_options(util::ArgParser& args) {
                                 const obs::RunManifest& manifest,
                                 std::ostream& out) {
   if (!opts.out_path.empty()) {
-    obs::JsonlWriter w(opts.out_path);
-    if (w.ok()) {
-      w.stream() << obs::manifest_header_line(manifest) << "\n";
-      c.write_jsonl(w.stream());
-    }
-    if (!w.close()) {
-      TGC_LOG(kError) << "metrics sink failed"
-                      << obs::kv("error", w.error());
+    if (!write_sink(opts.out_path, "metrics", manifest,
+                    [&](std::ostream& s) { c.write_jsonl(s); })) {
       return false;
     }
-    if (!write_manifest_sidecar(manifest, opts.out_path)) return false;
     out << "wrote " << c.events().size() << " round records + summary to "
         << opts.out_path << "\n";
   }
@@ -255,16 +284,10 @@ MetricsOptions declare_metrics_options(util::ArgParser& args) {
     // The cost stream embeds only the semantic manifest header (cfg_ keys),
     // so two runs of the same build and config produce byte-identical files
     // no matter the thread count or log level.
-    obs::JsonlWriter w(opts.cost_path);
-    if (w.ok()) {
-      w.stream() << obs::manifest_header_line(manifest) << "\n";
-      c.write_cost_jsonl(w.stream());
-    }
-    if (!w.close()) {
-      TGC_LOG(kError) << "cost sink failed" << obs::kv("error", w.error());
+    if (!write_sink(opts.cost_path, "cost", manifest,
+                    [&](std::ostream& s) { c.write_cost_jsonl(s); })) {
       return false;
     }
-    if (!write_manifest_sidecar(manifest, opts.cost_path)) return false;
     out << "wrote logical-cost JSONL to " << opts.cost_path << "\n";
   }
   if (opts.table) {
@@ -316,16 +339,11 @@ void begin_profile(const std::string& path, unsigned threads) {
   const obs::ProfileData data = obs::profile_end();
   std::size_t events = 0;
   for (const obs::WorkerProfile& w : data.workers) events += w.events.size();
-  obs::JsonlWriter w(path);
-  if (w.ok()) {
-    w.stream() << obs::manifest_header_line(manifest) << "\n";
-    obs::write_profile_jsonl(data, w.stream());
-  }
-  if (!w.close()) {
-    TGC_LOG(kError) << "profile sink failed" << obs::kv("error", w.error());
+  if (!write_sink(path, "profile", manifest, [&](std::ostream& s) {
+        obs::write_profile_jsonl(data, s);
+      })) {
     return false;
   }
-  if (!write_manifest_sidecar(manifest, path)) return false;
   out << "wrote execution profile (" << data.workers.size() << " workers, "
       << events << " events) to " << path << "\n";
   return true;
@@ -361,38 +379,27 @@ NodeTelemetryOptions declare_node_telemetry_options(util::ArgParser& args) {
   return opts;
 }
 
-/// Creates the collector and binds it to this (the driving) thread. Returns
-/// nullptr and binds nothing when --node-telemetry-out was not given, so an
+/// The collector, or nullptr when --node-telemetry-out was not given, so an
 /// unarmed run pays only the engines' thread_local null checks.
-std::unique_ptr<obs::NodeTelemetry> begin_node_telemetry(
+std::unique_ptr<obs::NodeTelemetry> make_node_telemetry(
     const NodeTelemetryOptions& opts, std::size_t num_nodes) {
   if (opts.path.empty()) return nullptr;
-  auto telemetry = std::make_unique<obs::NodeTelemetry>(num_nodes, opts.energy);
-  obs::set_node_telemetry(telemetry.get());
-  return telemetry;
+  return std::make_unique<obs::NodeTelemetry>(num_nodes, opts.energy);
 }
 
-/// Unbinds, finalizes, and writes the telemetry sink (embedded manifest
-/// line first, sidecar after). `positions` may be empty (no spatial overlay
-/// in the report then).
+/// Finalizes and writes the telemetry sink. `positions` may be empty (no
+/// spatial overlay in the report then).
 [[nodiscard]] bool emit_node_telemetry(
     const NodeTelemetryOptions& opts, obs::NodeTelemetry* telemetry,
     std::span<const obs::NodePosition> positions,
     const obs::RunManifest& manifest, std::ostream& out) {
   if (telemetry == nullptr) return true;
-  obs::set_node_telemetry(nullptr);
   telemetry->finalize();
-  obs::JsonlWriter w(opts.path);
-  if (w.ok()) {
-    w.stream() << obs::manifest_header_line(manifest) << "\n";
-    obs::write_node_telemetry_jsonl(*telemetry, positions, w.stream());
-  }
-  if (!w.close()) {
-    TGC_LOG(kError) << "node-telemetry sink failed"
-                    << obs::kv("error", w.error());
+  if (!write_sink(opts.path, "node-telemetry", manifest, [&](std::ostream& s) {
+        obs::write_node_telemetry_jsonl(*telemetry, positions, s);
+      })) {
     return false;
   }
-  if (!write_manifest_sidecar(manifest, opts.path)) return false;
   const obs::NodeTelemetrySummary& s = telemetry->summary();
   out << "wrote node telemetry (" << telemetry->num_nodes() << " nodes, "
       << s.rounds << " rounds, gini "
@@ -428,38 +435,19 @@ QualityKnobs declare_quality_options(util::ArgParser& args) {
   return knobs;
 }
 
-/// Builds the auditor over `net` and binds it to this (the driving) thread.
-/// Returns nullptr and binds nothing when --quality-out was not given, so an
-/// unarmed run pays only the scheduler's thread_local null checks.
-std::unique_ptr<obs::QualityAuditor> begin_quality(const QualityKnobs& knobs,
-                                                   const core::Network& net,
-                                                   unsigned tau) {
-  std::unique_ptr<obs::QualityAuditor> auditor =
-      make_quality_auditor(net, tau, knobs);
-  if (auditor != nullptr) obs::set_quality_auditor(auditor.get());
-  return auditor;
-}
-
-/// Unbinds, samples the final awake set, and writes the quality sink
-/// (embedded manifest line first, sidecar after).
+/// Samples the final awake set and writes the quality sink.
 [[nodiscard]] bool emit_quality(const QualityKnobs& knobs,
                                 obs::QualityAuditor* auditor,
                                 const std::vector<bool>& active,
                                 const obs::RunManifest& manifest,
                                 std::ostream& out) {
   if (auditor == nullptr) return true;
-  obs::set_quality_auditor(nullptr);
   auditor->finalize(active);
-  obs::JsonlWriter w(knobs.path);
-  if (w.ok()) {
-    w.stream() << obs::manifest_header_line(manifest) << "\n";
-    obs::write_quality_jsonl(*auditor, w.stream());
-  }
-  if (!w.close()) {
-    TGC_LOG(kError) << "quality sink failed" << obs::kv("error", w.error());
+  if (!write_sink(knobs.path, "quality", manifest, [&](std::ostream& s) {
+        obs::write_quality_jsonl(*auditor, s);
+      })) {
     return false;
   }
-  if (!write_manifest_sidecar(manifest, knobs.path)) return false;
   const obs::QualitySummary& s = auditor->summary();
   out << "wrote quality audit (" << s.rounds_sampled
       << " sampled rounds, min coverage "
@@ -467,6 +455,14 @@ std::unique_ptr<obs::QualityAuditor> begin_quality(const QualityKnobs& knobs,
       << util::Table::num(s.max_hole_diameter, 3) << ", " << s.violations
       << " bound violation(s)) to " << knobs.path << "\n";
   return true;
+}
+
+/// Runs `run` with `observers` bound to this (the driving) thread; they are
+/// unbound again before the caller writes their sinks.
+template <typename Run>
+auto observed(const obs::RoundObservers& observers, Run&& run) {
+  const obs::ObserverScope scope(observers);
+  return run();
 }
 
 /// Positions of a loaded deployment in exporter form.
@@ -542,11 +538,13 @@ int cmd_schedule(util::ArgParser& args, std::ostream& out) {
   config.seed = seed;
   config.num_threads = threads;
   obs::RoundCollector collector;
-  if (metrics.requested()) config.collector = &collector;
   begin_profile(profile_path, threads);
   const std::unique_ptr<obs::QualityAuditor> quality =
-      begin_quality(q_opts, net, tau);
-  const core::ScheduleSummary s = core::run_dcc(net, config);
+      make_quality_auditor(net, tau, q_opts);
+  const core::ScheduleSummary s =
+      observed({metrics.requested() ? &collector : nullptr, nullptr,
+                quality.get()},
+               [&] { return core::run_dcc(net, config); });
   if (!emit_profile(profile_path, manifest, out)) return 1;
   if (!emit_quality(q_opts, quality.get(), s.result.active, manifest, out)) {
     return 1;
@@ -746,28 +744,30 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
   config.seed = seed;
   config.num_threads = threads;
   obs::RoundCollector collector;
-  if (metrics.requested()) config.collector = &collector;
 
   if (tracing) obs::trace_begin();
   begin_profile(profile_path, threads);
   const std::unique_ptr<obs::NodeTelemetry> telemetry =
-      begin_node_telemetry(nt_opts, net.dep.graph.num_vertices());
+      make_node_telemetry(nt_opts, net.dep.graph.num_vertices());
   const std::unique_ptr<obs::QualityAuditor> quality =
-      begin_quality(q_opts, net, tau);
-  core::DccDistributedResult result;
-  if (async) {
-    core::DccAsyncOptions options;
-    options.net.min_delay = min_delay;
-    options.net.max_delay = max_delay;
-    options.net.loss_probability = loss;
-    options.net.seed = net_seed;
-    options.retransmit_interval = retransmit;
-    result = core::dcc_schedule_distributed_async(net.dep.graph, net.internal,
-                                                  config, options);
-  } else {
-    result = core::dcc_schedule_distributed(net.dep.graph, net.internal,
-                                            config);
-  }
+      make_quality_auditor(net, tau, q_opts);
+  const core::DccDistributedResult result = observed(
+      {metrics.requested() ? &collector : nullptr, telemetry.get(),
+       quality.get()},
+      [&] {
+        if (!async) {
+          return core::dcc_schedule_distributed(net.dep.graph, net.internal,
+                                                config);
+        }
+        core::DccAsyncOptions options;
+        options.net.min_delay = min_delay;
+        options.net.max_delay = max_delay;
+        options.net.loss_probability = loss;
+        options.net.seed = net_seed;
+        options.retransmit_interval = retransmit;
+        return core::dcc_schedule_distributed_async(
+            net.dep.graph, net.internal, config, options);
+      });
   if (!emit_profile(profile_path, manifest, out)) return 1;
   if (!emit_node_telemetry(nt_opts, telemetry.get(),
                            node_positions_of(net.dep), manifest, out)) {
@@ -783,31 +783,23 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
   collector.finalize(result.schedule.survivors);
   if (!emit_metrics(metrics, collector, manifest, out)) return 1;
   if (!trace_out.empty()) {
-    obs::JsonlWriter w(trace_out);
-    if (w.ok()) {
-      obs::write_chrome_trace(events, w.stream(),
-                              trace_clock == "sim" ? obs::TraceClock::kSim
-                                                   : obs::TraceClock::kWall);
-    }
-    if (!w.close()) {
-      TGC_LOG(kError) << "trace sink failed" << obs::kv("error", w.error());
+    const obs::TraceClock clock =
+        trace_clock == "sim" ? obs::TraceClock::kSim : obs::TraceClock::kWall;
+    if (!write_sink(
+            trace_out, "trace", manifest,
+            [&](std::ostream& s) { obs::write_chrome_trace(events, s, clock); },
+            /*header=*/false)) {
       return 1;
     }
-    if (!write_manifest_sidecar(manifest, trace_out)) return 1;
     out << "wrote Chrome trace (" << events.size() << " events) to "
         << trace_out << "\n";
   }
   if (!trace_jsonl.empty()) {
-    obs::JsonlWriter w(trace_jsonl);
-    if (w.ok()) {
-      w.stream() << obs::manifest_header_line(manifest) << "\n";
-      obs::write_trace_jsonl(events, w.stream());
-    }
-    if (!w.close()) {
-      TGC_LOG(kError) << "trace sink failed" << obs::kv("error", w.error());
+    if (!write_sink(trace_jsonl, "trace", manifest, [&](std::ostream& s) {
+          obs::write_trace_jsonl(events, s);
+        })) {
       return 1;
     }
-    if (!write_manifest_sidecar(manifest, trace_jsonl)) return 1;
     out << "wrote JSONL trace (" << events.size() << " events) to "
         << trace_jsonl << "\n";
   }
@@ -861,14 +853,18 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
   config.tau = tau;
   config.num_threads = threads;
   obs::RoundCollector collector;
-  if (metrics.requested()) config.collector = &collector;
   begin_profile(profile_path, threads);
   const std::unique_ptr<obs::NodeTelemetry> telemetry =
-      begin_node_telemetry(nt_opts, net.dep.graph.num_vertices());
+      make_node_telemetry(nt_opts, net.dep.graph.num_vertices());
   const std::unique_ptr<obs::QualityAuditor> quality =
-      begin_quality(q_opts, net, tau);
-  const core::RepairResult result = core::dcc_repair(
-      net.dep.graph, net.internal, active, failed, net.cb, config);
+      make_quality_auditor(net, tau, q_opts);
+  const core::RepairResult result = observed(
+      {metrics.requested() ? &collector : nullptr, telemetry.get(),
+       quality.get()},
+      [&] {
+        return core::dcc_repair(net.dep.graph, net.internal, active, failed,
+                                net.cb, config);
+      });
   if (!emit_profile(profile_path, manifest, out)) return 1;
   if (!emit_node_telemetry(nt_opts, telemetry.get(),
                            node_positions_of(net.dep), manifest, out)) {
@@ -1116,14 +1112,7 @@ int cmd_report(util::ArgParser& args, std::ostream& out) {
   }
 
   const std::string html = render_report_html(inputs);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
+  if (!write_html(out_path, html, out)) return 1;
   out << "wrote report (" << inputs.rounds.size() << " rounds"
       << (inputs.trace != nullptr ? ", trace fused" : "")
       << (inputs.quality != nullptr ? ", quality fused" : "") << ") to "
@@ -1238,14 +1227,7 @@ int cmd_profile_report(util::ArgParser& args, std::ostream& out) {
   }
 
   const std::string html = render_profile_report_html(load, title);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
+  if (!write_html(out_path, html, out)) return 1;
   std::size_t events = 0;
   for (const obs::WorkerProfile& w : load.data.workers) {
     events += w.events.size();
@@ -1287,14 +1269,7 @@ int cmd_node_report(util::ArgParser& args, std::ostream& out) {
   }
 
   const std::string html = render_node_report_html(load, title);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
+  if (!write_html(out_path, html, out)) return 1;
   out << "wrote node report (" << load.nodes << " nodes, " << load.rounds
       << " rounds, " << load.round_records.size() << " round records) to "
       << out_path << "\n";
@@ -1322,14 +1297,7 @@ int cmd_quality_report(util::ArgParser& args, std::ostream& out) {
   }
 
   const std::string html = render_quality_report_html(load, title);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
+  if (!write_html(out_path, html, out)) return 1;
   out << "wrote quality report (" << load.rounds.size()
       << " sampled rounds, " << load.violations.size()
       << " violation(s)) to " << out_path << "\n";
@@ -1406,14 +1374,7 @@ int cmd_fleet_report(util::ArgParser& args, std::ostream& out) {
   }
 
   const std::string html = render_fleet_report_html(sink, title);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
+  if (!write_html(out_path, html, out)) return 1;
   out << "wrote fleet report (" << sink.runs.size() << " runs";
   if (sink.skipped > 0) out << ", " << sink.skipped << " lines skipped";
   out << ") to " << out_path << "\n";

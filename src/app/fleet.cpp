@@ -1,11 +1,13 @@
 #include "tgcover/app/fleet.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,6 +23,7 @@
 #include "tgcover/obs/cost.hpp"
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/obs.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/obs/workers.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/digest.hpp"
@@ -84,7 +87,10 @@ std::vector<std::string> split_commas(const std::string& text) {
 }
 
 bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
+  // strtoull would skip blanks and wrap a leading '-' ("-1" -> 2^64-1).
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return false;
+  }
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
   if (end == nullptr || *end != '\0' || end == text.c_str()) return false;
@@ -92,11 +98,13 @@ bool parse_u64(const std::string& text, std::uint64_t& out) {
   return true;
 }
 
+/// Finite values only: strtod also accepts "nan" and "inf".
 bool parse_f64(const std::string& text, double& out) {
   if (text.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   if (end == nullptr || *end != '\0' || end == text.c_str()) return false;
+  if (!std::isfinite(v)) return false;
   out = v;
   return true;
 }
@@ -121,9 +129,15 @@ bool parse_axis(const std::string& key, const std::string& value,
   return true;
 }
 
+/// A finite scalar in [0, hi], or in (0, hi] when `positive`.
 bool parse_scalar_f64(const std::string& key, const std::string& value,
-                      double& out, std::string& error) {
-  if (parse_f64(value, out)) return true;
+                      bool positive, double hi, double& out,
+                      std::string& error) {
+  double v = 0.0;
+  if (parse_f64(value, v) && (positive ? v > 0.0 : v >= 0.0) && v <= hi) {
+    out = v;
+    return true;
+  }
   error = "bad value '" + value + "' for fleet key '" + key + "'";
   return false;
 }
@@ -155,7 +169,12 @@ bool apply_fleet_key(FleetSpec& spec, const std::string& key,
         spec.nodes, error);
   }
   if (key == "degrees") {
-    return parse_axis<double>(key, value, parse_f64, spec.degrees, error);
+    return parse_axis<double>(
+        key, value,
+        [](const std::string& t, double& v) {
+          return parse_f64(t, v) && v > 0.0;
+        },
+        spec.degrees, error);
   }
   if (key == "taus") {
     return parse_axis<unsigned>(
@@ -181,20 +200,27 @@ bool apply_fleet_key(FleetSpec& spec, const std::string& key,
   if (key == "seeds") {
     return parse_axis<std::uint64_t>(key, value, u64_of, spec.seeds, error);
   }
-  if (key == "band") return parse_scalar_f64(key, value, spec.band, error);
-  if (key == "alpha") return parse_scalar_f64(key, value, spec.alpha, error);
-  if (key == "p-link") {
-    return parse_scalar_f64(key, value, spec.p_link, error);
-  }
-  if (key == "aspect") return parse_scalar_f64(key, value, spec.aspect, error);
-  if (key == "min-delay") {
-    return parse_scalar_f64(key, value, spec.min_delay, error);
-  }
-  if (key == "max-delay") {
-    return parse_scalar_f64(key, value, spec.max_delay, error);
-  }
-  if (key == "retransmit") {
-    return parse_scalar_f64(key, value, spec.retransmit, error);
+  // Scalar ranges: fractions in [0, 1], band >= 0, everything else > 0.
+  // min-delay <= max-delay is checked by run_fleet once both are known.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* key;
+    bool positive;
+    double hi;
+    double* out;
+  } scalars[] = {
+      {"band", false, kInf, &spec.band},
+      {"alpha", false, 1.0, &spec.alpha},
+      {"p-link", false, 1.0, &spec.p_link},
+      {"aspect", true, kInf, &spec.aspect},
+      {"min-delay", true, kInf, &spec.min_delay},
+      {"max-delay", true, kInf, &spec.max_delay},
+      {"retransmit", true, kInf, &spec.retransmit},
+  };
+  for (const auto& s : scalars) {
+    if (key == s.key) {
+      return parse_scalar_f64(key, value, s.positive, s.hi, *s.out, error);
+    }
   }
   error = "unknown fleet spec key '" + key + "'";
   return false;
@@ -412,32 +438,6 @@ std::string record_line(const FleetCell& cell, const RunOutcome& r,
   return os.str();
 }
 
-/// RAII thread-local collector binding: a throwing cell must never leave a
-/// dangling NodeTelemetry bound to its pool worker, where the next cell on
-/// that lane would record into freed memory.
-class ScopedNodeTelemetry {
- public:
-  explicit ScopedNodeTelemetry(obs::NodeTelemetry* telemetry) {
-    obs::set_node_telemetry(telemetry);
-  }
-  ~ScopedNodeTelemetry() { obs::set_node_telemetry(nullptr); }
-  ScopedNodeTelemetry(const ScopedNodeTelemetry&) = delete;
-  ScopedNodeTelemetry& operator=(const ScopedNodeTelemetry&) = delete;
-};
-
-/// Same dangling-binding guard for the per-cell quality auditor. The auditor
-/// captures its cell's Network by reference, so outliving the cell would be
-/// a use-after-free on top of cross-cell contamination.
-class ScopedQualityAuditor {
- public:
-  explicit ScopedQualityAuditor(obs::QualityAuditor* auditor) {
-    obs::set_quality_auditor(auditor);
-  }
-  ~ScopedQualityAuditor() { obs::set_quality_auditor(nullptr); }
-  ScopedQualityAuditor(const ScopedQualityAuditor&) = delete;
-  ScopedQualityAuditor& operator=(const ScopedQualityAuditor&) = delete;
-};
-
 /// Executes one cell on the calling pool worker. Single-threaded by design:
 /// the cross-run parallelism lives in the fleet pool, and a single-threaded
 /// run means the calling thread's cost-shard delta captures exactly this
@@ -459,18 +459,19 @@ RunOutcome execute_cell(const FleetCell& cell, const FleetSpec& spec,
   r.graph_nodes = net.dep.graph.num_vertices();
   r.graph_edges = net.dep.graph.num_edges();
 
-  // Per-cell collector on this worker's thread_local binding: cells run
+  // Per-cell observers on this worker's thread_local binding: cells run
   // whole on one pool lane with num_threads=1, so concurrent cells never
-  // share a collector.
+  // share one. The scope is declared after the observers it binds, so a
+  // throwing cell unbinds them before they are freed and the next cell on
+  // this lane never records into freed memory.
   std::unique_ptr<obs::NodeTelemetry> telemetry;
   if (!opts.node_telemetry_out.empty()) {
     telemetry = std::make_unique<obs::NodeTelemetry>(r.graph_nodes,
                                                      opts.energy);
   }
-  const ScopedNodeTelemetry binding(telemetry.get());
   std::unique_ptr<obs::QualityAuditor> quality =
       make_quality_auditor(net, cell.tau, opts.quality);
-  const ScopedQualityAuditor quality_binding(quality.get());
+  const obs::ObserverScope observe({nullptr, telemetry.get(), quality.get()});
 
   core::DccConfig config;
   config.tau = cell.tau;

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -15,29 +14,20 @@ namespace tgc::app {
 
 FleetSink load_fleet_sink(const std::string& path) {
   FleetSink sink;
-  std::ifstream in(path);
-  if (!in.good()) {
+  const auto visit = [&](obs::JsonRecord& rec) -> std::string {
+    if (!rec.has("run") || !rec.has("status")) return "skipping non-run record";
+    sink.runs.push_back(std::move(rec));
+    return "";
+  };
+  obs::JsonlStream stream = obs::read_jsonl_stream(path, visit);
+  if (!stream.error.empty()) {
     sink.error = "cannot read fleet sink '" + path + "'";
     return sink;
   }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::optional<obs::JsonRecord> rec = obs::parse_jsonl_line(line);
-    if (!rec.has_value()) {
-      // A killed campaign leaves a truncated final line; count it, keep the
-      // completed records.
-      ++sink.skipped;
-      continue;
-    }
-    if (rec->text("type") == "manifest") {
-      sink.manifest = *rec;
-    } else if (rec->has("run") && rec->has("status")) {
-      sink.runs.push_back(*rec);
-    } else {
-      ++sink.skipped;
-    }
-  }
+  sink.manifest = std::move(stream.manifest);
+  // A killed campaign leaves a truncated final line: counted, while the
+  // completed records are kept.
+  sink.skipped = stream.notes.size();
   // Sink order is completion order (thread-count dependent); run-id order is
   // the deterministic one every consumer sees.
   std::stable_sort(sink.runs.begin(), sink.runs.end(),

@@ -35,8 +35,8 @@ obs::QualityProbeResult probe_network_quality(const core::Network& net,
 /// empty): composes the probe closure, precomputes the Proposition 1 bound
 /// for γ = Rc/rs, and echoes the geometry into the stream header. The
 /// returned auditor captures `net` by reference — it must not outlive the
-/// network. Binding to the thread is the caller's job (set_quality_auditor
-/// for CLI commands, a per-cell RAII scope in the fleet runner).
+/// network. Binding to the thread is the caller's job (an obs::ObserverScope
+/// around the CLI command's run or the fleet runner's cell).
 std::unique_ptr<obs::QualityAuditor> make_quality_auditor(
     const core::Network& net, unsigned tau, const QualityKnobs& knobs);
 

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -14,51 +13,44 @@ namespace tgc::app {
 
 NodeTelemetryLoad load_node_telemetry(const std::string& path) {
   NodeTelemetryLoad load;
-  std::ifstream in(path);
-  if (!in.good()) {
+  bool header_seen = false;
+  const auto visit = [&](obs::JsonRecord& rec) -> std::string {
+    const std::string type = rec.text("type");
+    if (type == "node_telemetry_header") {
+      header_seen = true;
+      load.nodes = static_cast<std::size_t>(rec.u64("nodes"));
+      load.rounds = rec.u64("rounds");
+      load.energy.tx_cost = rec.number("energy_tx", load.energy.tx_cost);
+      load.energy.rx_cost = rec.number("energy_rx", load.energy.rx_cost);
+      load.energy.idle_cost =
+          rec.number("energy_idle", load.energy.idle_cost);
+    } else if (type == "node_pos") {
+      const auto v = static_cast<std::size_t>(rec.u64("node"));
+      if (v >= load.positions.size()) load.positions.resize(v + 1);
+      load.positions[v] = {rec.number("x"), rec.number("y")};
+      load.has_positions = true;
+    } else if (type == "node_round") {
+      load.round_records.push_back(std::move(rec));
+    } else if (type == "link") {
+      load.links.push_back(std::move(rec));
+    } else if (type == "node_summary") {
+      load.node_summaries.push_back(std::move(rec));
+    } else if (type == "talker") {
+      load.talkers.push_back(std::move(rec));
+    } else if (type == "telemetry_summary") {
+      load.summary = std::move(rec);
+    } else {
+      return "skipping unknown record type '" + type + "'";
+    }
+    return "";
+  };
+  obs::JsonlStream stream = obs::read_jsonl_stream(path, visit);
+  if (!stream.error.empty()) {
     load.error = "cannot read node telemetry '" + path + "'";
     return load;
   }
-  bool header_seen = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::optional<obs::JsonRecord> rec = obs::parse_jsonl_line(line);
-    if (!rec.has_value()) {
-      // A killed run truncates its tail; count it, keep the complete lines.
-      ++load.skipped;
-      continue;
-    }
-    const std::string type = rec->text("type");
-    if (type == "manifest") {
-      load.manifest = *rec;
-    } else if (type == "node_telemetry_header") {
-      header_seen = true;
-      load.nodes = static_cast<std::size_t>(rec->u64("nodes"));
-      load.rounds = rec->u64("rounds");
-      load.energy.tx_cost = rec->number("energy_tx", load.energy.tx_cost);
-      load.energy.rx_cost = rec->number("energy_rx", load.energy.rx_cost);
-      load.energy.idle_cost =
-          rec->number("energy_idle", load.energy.idle_cost);
-    } else if (type == "node_pos") {
-      const auto v = static_cast<std::size_t>(rec->u64("node"));
-      if (v >= load.positions.size()) load.positions.resize(v + 1);
-      load.positions[v] = {rec->number("x"), rec->number("y")};
-      load.has_positions = true;
-    } else if (type == "node_round") {
-      load.round_records.push_back(*rec);
-    } else if (type == "link") {
-      load.links.push_back(*rec);
-    } else if (type == "node_summary") {
-      load.node_summaries.push_back(*rec);
-    } else if (type == "talker") {
-      load.talkers.push_back(*rec);
-    } else if (type == "telemetry_summary") {
-      load.summary = *rec;
-    } else {
-      ++load.skipped;
-    }
-  }
+  load.manifest = std::move(stream.manifest);
+  load.skipped = stream.notes.size();
   if (!header_seen) {
     load.error = "no node_telemetry_header line in '" + path +
                  "' — not a --node-telemetry-out stream";

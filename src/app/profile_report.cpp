@@ -1,7 +1,6 @@
 #include "tgcover/app/profile_report.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -46,86 +45,78 @@ double mib(std::uint64_t bytes) {
 
 ProfileLoad load_profile(const std::string& path) {
   ProfileLoad load;
-  std::ifstream in(path);
-  if (!in.good()) {
-    load.error = "cannot read profile '" + path + "'";
-    return load;
-  }
   bool header_seen = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::optional<obs::JsonRecord> rec = obs::parse_jsonl_line(line);
-    if (!rec.has_value()) {
-      ++load.skipped;
-      continue;
-    }
-    const std::string type = rec->text("type");
-    if (type == "manifest") {
-      load.manifest = *rec;
-    } else if (type == "profile_header") {
+  const auto visit = [&](const obs::JsonRecord& rec) -> std::string {
+    const std::string type = rec.text("type");
+    if (type == "profile_header") {
       header_seen = true;
-      load.data.wall_ns = rec->u64("wall_ns");
-      load.data.parallel_ns = rec->u64("parallel_ns");
-      load.data.forks = rec->u64("forks");
-      load.data.rounds = rec->u64("rounds");
-      load.data.off_lane_events = rec->u64("off_lane_events");
+      load.data.wall_ns = rec.u64("wall_ns");
+      load.data.parallel_ns = rec.u64("parallel_ns");
+      load.data.forks = rec.u64("forks");
+      load.data.rounds = rec.u64("rounds");
+      load.data.off_lane_events = rec.u64("off_lane_events");
       load.data.hardware_concurrency =
-          static_cast<unsigned>(rec->u64("hardware_concurrency"));
+          static_cast<unsigned>(rec.u64("hardware_concurrency"));
       load.data.ring_capacity =
-          static_cast<std::size_t>(rec->u64("ring_capacity"));
+          static_cast<std::size_t>(rec.u64("ring_capacity"));
       load.data.workers.resize(
-          static_cast<std::size_t>(rec->u64("workers")));
+          static_cast<std::size_t>(rec.u64("workers")));
     } else if (type == "event") {
-      const std::size_t w = static_cast<std::size_t>(rec->u64("worker"));
+      const std::size_t w = static_cast<std::size_t>(rec.u64("worker"));
       obs::ProfKind kind;
       if (w >= load.data.workers.size() ||
-          !parse_kind(rec->text("kind"), kind)) {
-        ++load.skipped;
-        continue;
+          !parse_kind(rec.text("kind"), kind)) {
+        return "skipping event of unknown worker or kind";
       }
       obs::ProfileEvent ev;
-      ev.start_ns = rec->u64("t_ns");
-      ev.dur_ns = rec->u64("dur_ns");
-      ev.value = rec->u64("value");
-      ev.phase = parse_phase(rec->text("phase"));
+      ev.start_ns = rec.u64("t_ns");
+      ev.dur_ns = rec.u64("dur_ns");
+      ev.value = rec.u64("value");
+      ev.phase = parse_phase(rec.text("phase"));
       ev.kind = kind;
       load.data.workers[w].events.push_back(ev);
     } else if (type == "worker_summary") {
-      const std::size_t w = static_cast<std::size_t>(rec->u64("worker"));
+      const std::size_t w = static_cast<std::size_t>(rec.u64("worker"));
       if (w >= load.data.workers.size()) {
-        ++load.skipped;
-        continue;
+        return "skipping summary of unknown worker";
       }
       obs::WorkerProfile& wp = load.data.workers[w];
-      wp.tasks = rec->u64("tasks");
-      wp.items = rec->u64("items");
-      wp.busy_ns = rec->u64("busy_ns");
-      wp.idle_ns = rec->u64("idle_ns");
-      wp.barrier_ns = rec->u64("barrier_ns");
-      wp.dropped = rec->u64("dropped");
+      wp.tasks = rec.u64("tasks");
+      wp.items = rec.u64("items");
+      wp.busy_ns = rec.u64("busy_ns");
+      wp.idle_ns = rec.u64("idle_ns");
+      wp.barrier_ns = rec.u64("barrier_ns");
+      wp.dropped = rec.u64("dropped");
       for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
         const std::string phase(
             obs::cost_phase_name(static_cast<obs::CostPhase>(p)));
-        wp.phase_tasks[p] = rec->u64("tasks_" + phase);
-        wp.phase_items[p] = rec->u64("items_" + phase);
-        wp.phase_busy_ns[p] = rec->u64("busy_ns_" + phase);
+        wp.phase_tasks[p] = rec.u64("tasks_" + phase);
+        wp.phase_items[p] = rec.u64("items_" + phase);
+        wp.phase_busy_ns[p] = rec.u64("busy_ns_" + phase);
       }
     } else if (type == "mem_sample") {
       obs::MemorySample sample;
-      sample.t_ns = rec->u64("t_ns");
-      sample.peak_rss_bytes = rec->u64("peak_rss_bytes");
+      sample.t_ns = rec.u64("t_ns");
+      sample.peak_rss_bytes = rec.u64("peak_rss_bytes");
       load.data.memory.samples.push_back(sample);
     } else if (type == "memory_summary") {
       obs::MemoryTelemetry& m = load.data.memory;
-      m.peak_rss_begin_bytes = rec->u64("peak_rss_begin_bytes");
-      m.peak_rss_end_bytes = rec->u64("peak_rss_end_bytes");
+      m.peak_rss_begin_bytes = rec.u64("peak_rss_begin_bytes");
+      m.peak_rss_end_bytes = rec.u64("peak_rss_end_bytes");
     } else if (type != "phase_summary" && type != "profile_summary") {
       // phase/profile summaries are recomputed from the worker rows; any
       // other record type is from a future writer.
-      ++load.skipped;
+      return "skipping unknown record type '" + type + "'";
     }
+    return "";
+  };
+  obs::JsonlStream stream = obs::read_jsonl_stream(path, visit);
+  if (!stream.error.empty()) {
+    load.error = "cannot read profile '" + path + "'";
+    return load;
   }
+  load.manifest = std::move(stream.manifest);
+  load.skipped = stream.notes.size();
   if (!header_seen) {
     load.error = "no profile_header record in '" + path +
                  "' — produce one with --profile-out";

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,35 +12,28 @@ namespace tgc::app {
 
 QualityLoad load_quality(const std::string& path) {
   QualityLoad load;
-  std::ifstream in(path);
-  if (!in.good()) {
+  const auto visit = [&](obs::JsonRecord& rec) -> std::string {
+    const std::string type = rec.text("type");
+    if (type == "quality_header") {
+      load.header = std::move(rec);
+    } else if (type == "quality_round") {
+      load.rounds.push_back(std::move(rec));
+    } else if (type == "bound_violation") {
+      load.violations.push_back(std::move(rec));
+    } else if (type == "quality_summary") {
+      load.summary = std::move(rec);
+    } else {
+      return "skipping unknown record type '" + type + "'";
+    }
+    return "";
+  };
+  obs::JsonlStream stream = obs::read_jsonl_stream(path, visit);
+  if (!stream.error.empty()) {
     load.error = "cannot read quality stream '" + path + "'";
     return load;
   }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::optional<obs::JsonRecord> rec = obs::parse_jsonl_line(line);
-    if (!rec.has_value()) {
-      // A killed run truncates its tail; count it, keep the complete lines.
-      ++load.skipped;
-      continue;
-    }
-    const std::string type = rec->text("type");
-    if (type == "manifest") {
-      load.manifest = *rec;
-    } else if (type == "quality_header") {
-      load.header = *rec;
-    } else if (type == "quality_round") {
-      load.rounds.push_back(*rec);
-    } else if (type == "bound_violation") {
-      load.violations.push_back(*rec);
-    } else if (type == "quality_summary") {
-      load.summary = *rec;
-    } else {
-      ++load.skipped;
-    }
-  }
+  load.manifest = std::move(stream.manifest);
+  load.skipped = stream.notes.size();
   if (!load.header.has_value()) {
     load.error = "no quality_header line in '" + path +
                  "' — not a --quality-out stream";

@@ -1,7 +1,5 @@
 #include "tgcover/app/rounds.hpp"
 
-#include <fstream>
-
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/table.hpp"
 
@@ -44,9 +42,9 @@ RoundRow row_from_event(const obs::RoundEvent& ev) {
   r.messages = ev.delta.get(obs::CounterId::kMessages);
   r.messages_lost = ev.delta.get(obs::CounterId::kMessagesLost);
   r.retransmissions = ev.delta.get(obs::CounterId::kRetransmissions);
-  r.ns_verdicts = ev.delta.span(obs::SpanId::kVerdicts).sum_ns;
-  r.ns_mis = ev.delta.span(obs::SpanId::kMis).sum_ns;
-  r.ns_deletion = ev.delta.span(obs::SpanId::kDeletion).sum_ns;
+  r.ns_verdicts = ev.delta.ns(obs::CostPhase::kVerdicts);
+  r.ns_mis = ev.delta.ns(obs::CostPhase::kMis);
+  r.ns_deletion = ev.delta.ns(obs::CostPhase::kDeletion);
   r.logical_cost = obs::logical_cost(obs::CostVec{ev.delta.counters});
   return r;
 }
@@ -170,58 +168,34 @@ std::string render_cost_table(const std::vector<CostRow>& totals) {
 
 RoundLog load_round_log(const std::string& path) {
   RoundLog log;
-  std::ifstream f(path);
-  if (!f.good()) {
-    log.error = "cannot open '" + path + "'";
-    return log;
-  }
-
-  std::size_t lineno = 0;
-  std::string line;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty()) {
-      // Producers never emit blank lines; a blank line means the file was
-      // edited or corrupted, so surface it instead of silently moving on.
-      log.notes.push_back(path + ":" + std::to_string(lineno) +
-                          ": skipping blank line");
-      ++log.skipped;
-      continue;
-    }
-    const std::optional<obs::JsonRecord> rec = obs::parse_jsonl_line(line);
-    if (!rec.has_value()) {
-      // Also catches a truncated final line (no trailing newline, record
-      // cut mid-field) — getline still yields the partial text.
-      log.notes.push_back(path + ":" + std::to_string(lineno) +
-                          ": skipping malformed record");
-      ++log.skipped;
-      continue;
-    }
-    const std::string type = rec->text("type");
+  const auto visit = [&](obs::JsonRecord& rec) -> std::string {
+    const std::string type = rec.text("type");
     if (type == "round") {
-      RoundRow row = row_from_record(*rec);
+      RoundRow row = row_from_record(rec);
       if (!log.rows.empty() && row.round <= log.rows.back().round) {
-        log.notes.push_back(path + ":" + std::to_string(lineno) +
-                            ": skipping duplicate/out-of-order round id " +
-                            std::to_string(row.round));
-        ++log.skipped;
-        continue;
+        return "skipping duplicate/out-of-order round id " +
+               std::to_string(row.round);
       }
       log.rows.push_back(row);
     } else if (type == "cost") {
-      log.costs.push_back(cost_from_record(*rec));
+      log.costs.push_back(cost_from_record(rec));
     } else if (type == "cost_total") {
-      log.cost_totals.push_back(cost_from_record(*rec));
+      log.cost_totals.push_back(cost_from_record(rec));
     } else if (type == "summary") {
-      log.summary = *rec;
-    } else if (type == "manifest") {
-      log.manifest = *rec;
+      log.summary = std::move(rec);
     } else {
-      log.notes.push_back(path + ":" + std::to_string(lineno) +
-                          ": skipping unknown record type '" + type + "'");
-      ++log.skipped;
+      return "skipping unknown record type '" + type + "'";
     }
+    return "";
+  };
+  obs::JsonlStream stream = obs::read_jsonl_stream(path, visit);
+  if (!stream.error.empty()) {
+    log.error = std::move(stream.error);
+    return log;
   }
+  log.manifest = std::move(stream.manifest);
+  log.notes = std::move(stream.notes);
+  log.skipped = log.notes.size();
   return log;
 }
 

@@ -1,7 +1,6 @@
 #include "tgcover/app/trace_analysis.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -34,45 +33,33 @@ std::uint64_t median_of(std::vector<std::uint64_t> v) {
 }  // namespace
 
 TraceStats analyze_trace_file(const std::string& path) {
-  std::ifstream f(path);
-  TGC_CHECK_MSG(f.good(), "cannot open '" << path << "'");
-
   TraceStats stats;
   std::vector<ParsedTraceEvent> events;
   const auto violation = [&stats](const std::string& what) {
     stats.violations.push_back(what);
   };
 
-  std::size_t lineno = 0;
-  std::string line;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const std::optional<obs::JsonRecord> rec = obs::parse_jsonl_line(line);
-    if (!rec.has_value()) {
-      violation(path + ":" + std::to_string(lineno) + ": malformed record");
-      continue;
-    }
-    const std::string type = rec->text("type");
-    if (type == "manifest") {
-      stats.manifest = *rec;
-      continue;
-    }
-    if (type == "trace_header") {
-      stats.header = *rec;
-      continue;
+  const auto visit = [&](obs::JsonRecord& rec) -> std::string {
+    if (rec.text("type") == "trace_header") {
+      stats.header = std::move(rec);
+      return "";
     }
     ParsedTraceEvent ev;
-    ev.seq = rec->u64("seq");
-    ev.kind = rec->text("kind");
-    ev.sim = rec->number("sim");
-    ev.node = static_cast<std::uint32_t>(rec->u64("node", obs::kTraceNoNode));
-    ev.peer = static_cast<std::uint32_t>(rec->u64("peer", obs::kTraceNoNode));
-    ev.type = rec->u64("type");
-    ev.value = rec->u64("value");
-    ev.flow = rec->u64("flow");
+    ev.seq = rec.u64("seq");
+    ev.kind = rec.text("kind");
+    ev.sim = rec.number("sim");
+    ev.node = static_cast<std::uint32_t>(rec.u64("node", obs::kTraceNoNode));
+    ev.peer = static_cast<std::uint32_t>(rec.u64("peer", obs::kTraceNoNode));
+    ev.type = rec.u64("type");
+    ev.value = rec.u64("value");
+    ev.flow = rec.u64("flow");
     events.push_back(std::move(ev));
-  }
+    return "";
+  };
+  obs::JsonlStream stream = obs::read_jsonl_stream(path, visit);
+  TGC_CHECK_MSG(stream.error.empty(), stream.error);
+  stats.manifest = std::move(stream.manifest);
+  for (const std::string& note : stream.notes) violation(note);
   stats.events = events.size();
 
   // ---- Invariant checks (always computed; --check makes them fatal).

@@ -2,11 +2,8 @@
 
 #include <unordered_set>
 
-#include "tgcover/obs/node_stats.hpp"
-#include "tgcover/obs/quality.hpp"
-#include "tgcover/obs/obs.hpp"
-#include "tgcover/obs/profile.hpp"
-#include "tgcover/obs/round_log.hpp"
+#include "tgcover/obs/cost.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/obs/trace.hpp"
 #include "tgcover/sim/khop.hpp"
 #include "tgcover/sim/mis.hpp"
@@ -104,22 +101,15 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
   // Phase 0: every node collects its k-hop neighbourhood.
   std::vector<sim::LocalView> views;
   {
-    TGC_OBS_SPAN(obs::SpanId::kKhopCollect);
     const obs::CostPhaseScope cost_phase(obs::CostPhase::kKhop);
     TracedPhase traced(runner, obs::TracePhase::kKhop);
     views = sim::collect_k_hop_views(runner, k);
   }
-  if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
-    // Telemetry round 0 is the setup phase: the k-hop collection floods
-    // dominate a run's traffic and deserve their own bucket in the
-    // per-round stream rather than being folded into deletion round 1.
-    nt->end_round(runner.active());
-  }
-  if (obs::QualityAuditor* const qa = obs::quality_auditor()) {
-    // Pre-deletion baseline: the full deployment's coverage, against which
-    // the per-round samples show what the sleep schedule gives up.
-    qa->end_round(runner.active());
-  }
+  // Telemetry round 0 is the setup phase: the k-hop collection floods
+  // dominate a run's traffic and deserve their own bucket in the per-round
+  // stream, and the full deployment's coverage is the baseline against which
+  // the quality samples show what the sleep schedule gives up.
+  obs::setup_end(runner.active());
   std::size_t num_active = g.num_vertices();
 
   // In the field every node evaluates its own verdict; the simulator fans
@@ -133,7 +123,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
   std::vector<char> verdict(g.num_vertices(), 0);
 
   while (out.schedule.rounds < config.max_rounds) {
-    if (config.collector != nullptr) config.collector->begin_round();
+    obs::round_begin();
     const bool traced = obs::trace_active();
     const auto attempt = static_cast<std::uint32_t>(out.schedule.rounds + 1);
     if (traced) {
@@ -145,7 +135,6 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     std::vector<bool> candidate(g.num_vertices(), false);
     std::size_t num_candidates = 0;
     {
-      TGC_OBS_SPAN(obs::SpanId::kVerdicts);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kVerdicts);
       TracedPhase traced_phase(runner, obs::TracePhase::kVerdicts);
       to_test.clear();
@@ -184,7 +173,6 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     // Phase 2: m-hop MIS election among candidates.
     std::vector<bool> selected;
     {
-      TGC_OBS_SPAN(obs::SpanId::kMis);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kMis);
       TracedPhase traced_phase(runner, obs::TracePhase::kMis);
       const std::uint64_t round_seed =
@@ -198,7 +186,6 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     // Phase 3: deletion announcements, then power-down.
     std::size_t num_selected = 0;
     {
-      TGC_OBS_SPAN(obs::SpanId::kDeletion);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kDeletion);
       TracedPhase traced_phase(runner, obs::TracePhase::kDeletion);
       flood_deletions(runner, selected, k, views);
@@ -213,19 +200,8 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     out.schedule.per_round.push_back(
         DccRoundInfo{num_candidates, num_selected});
     num_active -= num_selected;
-    if (config.collector != nullptr) {
-      config.collector->end_round(num_active, num_candidates, num_selected);
-    }
-    if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
-      nt->end_round(runner.active());
-    }
-    if (obs::QualityAuditor* const qa = obs::quality_auditor()) {
-      qa->end_round(runner.active());
-    }
-    if (obs::profile_active()) {
-      obs::profile_round(out.schedule.rounds);
-      obs::profile_mem_sample();
-    }
+    obs::round_end(out.schedule.rounds, runner.active(), num_active,
+                   num_candidates, num_selected);
     if (traced) {
       // type 1: a completed deletion round. `trace-analyze` counts these and
       // the count must equal the scheduler's reported rounds.

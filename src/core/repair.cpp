@@ -5,9 +5,9 @@
 
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/graph/algorithms.hpp"
+#include "tgcover/obs/cost.hpp"
 #include "tgcover/obs/log.hpp"
-#include "tgcover/obs/obs.hpp"
-#include "tgcover/obs/profile.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/util/check.hpp"
 
 namespace tgc::core {
@@ -67,7 +67,6 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
   const unsigned k = config.vpt().effective_k();
 
   for (unsigned radius = k;; radius *= 2) {
-    TGC_OBS_SPAN(obs::SpanId::kRepairWave);
     const obs::CostPhaseScope cost_phase(obs::CostPhase::kRepair);
     obs::add(obs::CounterId::kRepairWaves, 1);
     // Wake the sleeping nodes near the failures (cumulative as the radius
@@ -96,13 +95,10 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
     result.survivors = cleaned.survivors;
     result.criterion_restored =
         certify && criterion_holds(g, cleaned.active, cb, config.tau);
-    if (obs::profile_active()) {
-      // One timeline landmark per escalation wave, tagged with the radius
-      // (the natural "round" of the repair loop), plus a memory sample so
-      // the dashboard shows the wake-radius doubling against RSS.
-      obs::profile_round(radius);
-      obs::profile_mem_sample();
-    }
+    // One profiler landmark per escalation wave, tagged with the radius
+    // (the natural "round" of the repair loop), so the dashboard shows the
+    // wake-radius doubling against RSS.
+    obs::repair_wave_end(radius);
     TGC_LOG(kDebug) << "repair wave" << obs::kv("radius", radius)
                     << obs::kv("woken", woken)
                     << obs::kv("redeleted", cleaned.deleted)

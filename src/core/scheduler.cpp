@@ -1,12 +1,9 @@
 #include "tgcover/core/scheduler.hpp"
 
 #include "tgcover/graph/algorithms.hpp"
+#include "tgcover/obs/cost.hpp"
 #include "tgcover/obs/log.hpp"
-#include "tgcover/obs/node_stats.hpp"
-#include "tgcover/obs/quality.hpp"
-#include "tgcover/obs/obs.hpp"
-#include "tgcover/obs/profile.hpp"
-#include "tgcover/obs/round_log.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/rng.hpp"
@@ -51,14 +48,13 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
   }
 
   while (result.rounds < config.max_rounds) {
-    if (config.collector != nullptr) config.collector->begin_round();
+    obs::round_begin();
     // Step 1 (Section V-B): every awake internal node tests its own
     // deletability from local connectivity. Each verdict reads only the
     // graph and the pre-round `active` snapshot and writes only its own
     // slot, so the tests fan out over the pool and the outcome is
     // bit-identical to the serial loop.
     {
-      TGC_OBS_SPAN(obs::SpanId::kVerdicts);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kVerdicts);
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -90,7 +86,6 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     // punctured neighbourhoods disjoint from each other).
     std::vector<bool> selected;
     {
-      TGC_OBS_SPAN(obs::SpanId::kMis);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kMis);
       if (config.mis_priorities.empty()) {
         const std::uint64_t round_seed =
@@ -107,7 +102,6 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     // Step 3: the MIS powers down.
     std::size_t num_selected = 0;
     {
-      TGC_OBS_SPAN(obs::SpanId::kDeletion);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kDeletion);
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!selected[v]) continue;
@@ -119,22 +113,8 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     }
     result.per_round.push_back(DccRoundInfo{num_candidates, num_selected});
     num_active -= num_selected;
-    if (config.collector != nullptr) {
-      config.collector->end_round(num_active, num_candidates, num_selected);
-    }
-    if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
-      // The oracle sends no messages, so these rounds record idle-energy
-      // charges only — the lifetime baseline a distributed run is judged
-      // against.
-      nt->end_round(result.active);
-    }
-    if (obs::QualityAuditor* const qa = obs::quality_auditor()) {
-      qa->end_round(result.active);
-    }
-    if (obs::profile_active()) {
-      obs::profile_round(result.rounds);
-      obs::profile_mem_sample();
-    }
+    obs::round_end(result.rounds, result.active, num_active, num_candidates,
+                   num_selected);
     TGC_LOG(kDebug) << "dcc round" << obs::kv("round", result.rounds)
                     << obs::kv("active", num_active)
                     << obs::kv("candidates", num_candidates)

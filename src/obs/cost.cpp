@@ -3,6 +3,7 @@
 #include <deque>
 #include <mutex>
 
+#include "tgcover/obs/obs.hpp"
 #include "tgcover/obs/profile.hpp"
 
 namespace tgc::obs {
@@ -94,10 +95,26 @@ CostSnapshot cost_snapshot() {
         s.phases[p].units[i] +=
             shard.units[p][i].load(std::memory_order_relaxed);
       }
+      s.ns[p] += shard.ns[p].load(std::memory_order_relaxed);
     }
   }
   return s;
 }
+
+Metrics& Metrics::operator-=(const Metrics& rhs) {
+  for (std::size_t i = 0; i < kNumCounters; ++i) counters[i] -= rhs.counters[i];
+  for (std::size_t p = 0; p < kNumPhases; ++p) phase_ns[p] -= rhs.phase_ns[p];
+  return *this;
+}
+
+Metrics metrics_of(const CostSnapshot& s) {
+  Metrics m;
+  m.counters = s.total().units;
+  m.phase_ns = s.ns;
+  return m;
+}
+
+Metrics snapshot() { return metrics_of(cost_snapshot()); }
 
 CostVec local_cost_totals() {
   const detail::CostShard& shard = detail::local_cost_shard();
@@ -145,6 +162,21 @@ void set_current_phase(CostPhase phase) {
   // an instant event on the calling thread's lane (no-op when profiling is
   // off — phase scopes flip twice per round, far off any hot loop).
   detail::profile_on_phase_change(phase);
+}
+
+CostPhaseScope::CostPhaseScope(CostPhase phase)
+    : phase_(phase), prev_(current_phase()), timed_(kCompiledIn && enabled()) {
+  if (timed_) start_ns_ = now_ns();
+  set_current_phase(phase);
+}
+
+CostPhaseScope::~CostPhaseScope() {
+  if (timed_) {
+    detail::local_cost_shard()
+        .ns[static_cast<std::size_t>(phase_)]
+        .fetch_add(now_ns() - start_ns_, std::memory_order_relaxed);
+  }
+  set_current_phase(prev_);
 }
 
 CostModel::CostModel()

@@ -9,8 +9,8 @@
 
 /// The logical cost model: machine-independent work-unit accounting.
 ///
-/// Unlike the span timers in obs.hpp, everything here is ALWAYS compiled —
-/// `-DTGC_OBS=OFF` removes wall-clock instrumentation only. Logical units
+/// Everything here is ALWAYS compiled — `-DTGC_OBS=OFF` removes only the
+/// phase scopes' wall-clock timing. Logical units
 /// (VPT tests, BFS expansions, Horton candidates, GF(2) pivots, simulated
 /// messages) are deterministic functions of the input and seed, so their
 /// per-round, per-phase profiles are byte-identical across machines, thread
@@ -48,10 +48,12 @@ inline constexpr std::size_t kNumCounters =
 /// Snake_case counter names used as JSONL keys and table headers.
 std::string_view counter_name(CounterId id);
 
-/// The protocol phase a work unit is attributed to. Phases are fork-join
-/// sequential (the scheduler moves through them one at a time and workers
-/// are quiescent at every transition), so a single process-wide current
-/// phase gives deterministic attribution at any thread count.
+/// The protocol phase a work unit is attributed to — the one phase taxonomy
+/// shared by the cost counters, the per-phase wall-clock columns of the round
+/// log (`ns_*`) and the profiler. Phases are fork-join sequential (the
+/// scheduler moves through them one at a time and workers are quiescent at
+/// every transition), so a single process-wide current phase gives
+/// deterministic attribution at any thread count.
 enum class CostPhase : unsigned {
   kVerdicts,  ///< DCC Step 1: VPT verdict fan-out
   kMis,       ///< DCC Step 2: m-hop MIS election
@@ -114,9 +116,12 @@ struct CostVec {
 std::uint64_t logical_cost(const CostVec& v);
 
 /// Registry state split by phase. `total()` collapses the phase axis and is
-/// what Metrics::counters is built from.
+/// what Metrics::counters is built from. `ns` is the wall-clock time the
+/// phase scopes recorded (zero under TGC_OBS=OFF); it is never part of the
+/// machine-independent cost stream.
 struct CostSnapshot {
   std::array<CostVec, kNumPhases> phases{};
+  std::array<std::uint64_t, kNumPhases> ns{};
 
   const CostVec& phase(CostPhase p) const {
     return phases[static_cast<std::size_t>(p)];
@@ -127,7 +132,10 @@ struct CostSnapshot {
     return t;
   }
   CostSnapshot& operator-=(const CostSnapshot& rhs) {
-    for (std::size_t i = 0; i < kNumPhases; ++i) phases[i] -= rhs.phases[i];
+    for (std::size_t i = 0; i < kNumPhases; ++i) {
+      phases[i] -= rhs.phases[i];
+      ns[i] -= rhs.ns[i];
+    }
     return *this;
   }
   friend CostSnapshot operator-(CostSnapshot lhs, const CostSnapshot& rhs) {
@@ -138,12 +146,14 @@ struct CostSnapshot {
 
 namespace detail {
 
-/// One thread's slice of the cost registry (same never-reclaimed sharding
-/// scheme as the span registry in obs.hpp: one shard per thread, relaxed
-/// atomics, merged under a mutex by cost_snapshot()).
+/// One thread's slice of the cost registry: one shard per thread, relaxed
+/// atomics, never reclaimed (a worker that exits leaves its totals behind),
+/// merged under a mutex by cost_snapshot(). `ns` holds the wall-clock time of
+/// the phase scopes this thread closed.
 struct CostShard {
   std::array<std::array<std::atomic<std::uint64_t>, kNumCounters>, kNumPhases>
       units{};
+  std::array<std::atomic<std::uint64_t>, kNumPhases> ns{};
 };
 
 CostShard& local_cost_shard();
@@ -153,7 +163,7 @@ std::atomic<unsigned>& current_phase_slot();
 }  // namespace detail
 
 /// Runtime master switch (default off) shared by the cost counters and the
-/// span timers. Disabled, every instrumentation site costs one relaxed bool
+/// phase timers. Disabled, every instrumentation site costs one relaxed bool
 /// load and a predicted-untaken branch.
 inline bool enabled() {
   return detail::cost_enabled_flag().load(std::memory_order_relaxed);
@@ -188,22 +198,29 @@ CostVec local_cost_totals();
 CostPhase current_phase();
 void set_current_phase(CostPhase phase);
 
-/// RAII phase attribution. Installed at fork-join boundaries only (scheduler
-/// phase transitions happen with all workers quiescent), so the single
-/// process-wide slot is race-free in practice and attribution is identical
-/// at every thread count. Nests: dcc_repair opens kRepair, and the scheduler
-/// phases it re-enters override inside.
+/// RAII phase scope: the one way code declares a protocol phase. It
+/// attributes counters to `phase` and, when the counters are enabled and the
+/// timers compiled in (TGC_OBS=ON), adds its wall time to the calling
+/// thread's nanosecond slot for `phase` — the `ns_*` round-log columns. The
+/// enabled flag is captured at construction, so a scope never half-records
+/// across a runtime toggle. Installed at fork-join boundaries only
+/// (scheduler phase transitions happen with all workers quiescent), so the
+/// single process-wide slot is race-free in practice and attribution is
+/// identical at every thread count. Nests: dcc_repair opens kRepair, and the
+/// scheduler phases it re-enters override inside (their time counts in both
+/// slots).
 class CostPhaseScope {
  public:
-  explicit CostPhaseScope(CostPhase phase) : prev_(current_phase()) {
-    set_current_phase(phase);
-  }
-  ~CostPhaseScope() { set_current_phase(prev_); }
+  explicit CostPhaseScope(CostPhase phase);
+  ~CostPhaseScope();
   CostPhaseScope(const CostPhaseScope&) = delete;
   CostPhaseScope& operator=(const CostPhaseScope&) = delete;
 
  private:
+  CostPhase phase_;
   CostPhase prev_;
+  bool timed_;
+  std::uint64_t start_ns_ = 0;
 };
 
 /// Exactly reverts whatever cost-counter activity the calling thread

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace tgc::obs {
 
@@ -73,5 +75,32 @@ class JsonRecord {
 /// Parses one `{"key":value,...}` line. Returns nullopt on malformed input
 /// (including trailing garbage) — `tgcover stats` skips such lines loudly.
 std::optional<JsonRecord> parse_jsonl_line(const std::string& line);
+
+/// Handles one record of a JSONL stream and returns "" to keep it, or why
+/// it was skipped ("skipping unknown record type 'x'"), which the reader
+/// turns into that line's note. The record may be moved from.
+using JsonlVisitor = std::function<std::string(JsonRecord& record)>;
+
+/// What reading a JSONL sink found besides its records.
+struct JsonlStream {
+  /// The embedded `{"type":"manifest",...}` header every producer writes
+  /// first.
+  std::optional<JsonRecord> manifest;
+  /// "path:line: what" for every line that is not a kept record — blank,
+  /// unparseable (a killed run's truncated final line included) or skipped
+  /// by the visitor — in file order.
+  std::vector<std::string> notes;
+  /// "cannot open 'path'" when the file could not be read; every other field
+  /// is empty then.
+  std::string error;
+};
+
+/// The one reader behind every stream loader (round log, profile, node
+/// telemetry, quality, fleet, trace): streams `path` line by line and hands
+/// every parseable line other than the manifest to `visit`, in file order,
+/// without holding the file in memory (a lossy trace runs to gigabytes).
+/// The loaders keep only their per-type dispatch in `visit`.
+JsonlStream read_jsonl_stream(const std::string& path,
+                              const JsonlVisitor& visit);
 
 }  // namespace tgc::obs

@@ -18,7 +18,7 @@
 /// model (configurable tx/rx/idle cost) charging each node's battery.
 ///
 /// Activation model. The collector is bound to the *driving thread* through
-/// a thread_local pointer (set_node_telemetry): all sim messaging runs on
+/// an obs::ObserverScope (observe.hpp): all sim messaging runs on
 /// the thread that owns the engine — pool workers only evaluate verdicts,
 /// which send nothing — and fleet cells each run whole on one worker, so
 /// per-cell instances never race. An unarmed run pays exactly one
@@ -168,14 +168,6 @@ class NodeTelemetry {
   std::uint64_t round_ = 0;
   bool finalized_ = false;
 };
-
-// ------------------------------------------------------------ the binding
-
-/// Binds `telemetry` (may be nullptr to unbind) to the calling thread. The
-/// engines observe through node_telemetry() — one thread_local load when
-/// unarmed, which is the whole cost of an off run.
-void set_node_telemetry(NodeTelemetry* telemetry);
-NodeTelemetry* node_telemetry();
 
 // ------------------------------------------------------------ exporters
 

@@ -39,7 +39,7 @@
 /// accumulators stay exact — a truncated timeline never corrupts the
 /// utilization/phase totals.
 ///
-/// Always compiled (like the cost counters, unlike the TGC_OBS span
+/// Always compiled (like the cost counters, unlike the TGC_OBS phase
 /// timers); runtime-gated by profile_active(), so a run without
 /// --profile-out pays one relaxed load per pool chunk and nothing else.
 

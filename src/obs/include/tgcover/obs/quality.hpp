@@ -28,9 +28,10 @@
 /// measure quality never perturbs the gated cost stream.
 ///
 /// Activation model (identical to NodeTelemetry): the driving thread binds a
-/// collector via set_quality_auditor(); the scheduler's round hook performs
-/// one thread_local load plus a null check when unarmed. The fleet runner
-/// binds one auditor per campaign cell on the pool worker executing it.
+/// collector through an obs::ObserverScope (observe.hpp); the scheduler's
+/// round hook performs one thread_local load plus a null check when unarmed.
+/// The fleet runner binds one auditor per campaign cell on the pool worker
+/// executing it.
 /// Arming perturbs nothing — schedule digests, cost streams, and traces are
 /// byte-identical with the auditor on or off, at any thread count.
 
@@ -131,12 +132,6 @@ class QualityAuditor {
   std::vector<QualityRoundRecord> rounds_;
   QualitySummary summary_;
 };
-
-/// Binds `auditor` as the calling thread's active quality collector (nullptr
-/// unbinds). Same contract as set_node_telemetry: the unarmed hook is one
-/// thread_local load plus a predicted-taken null check.
-void set_quality_auditor(QualityAuditor* auditor);
-QualityAuditor* quality_auditor();
 
 /// Full stream: `quality_header`, one `quality_round` per sample (plus a
 /// `bound_violation` event line after any violating round), and a closing

@@ -10,10 +10,10 @@ namespace tgc::obs {
 
 /// One DCC deletion round, as accounted by the scheduler. `round` is
 /// assigned by the collector (monotonic across repair waves, which re-enter
-/// the scheduler several times on one collector); the counter/span activity
-/// is the registry delta across the round, so it includes everything the
-/// round's verdicts triggered transitively — BFS expansions, Horton
-/// candidates, GF(2) pivots, simulated messages.
+/// the scheduler several times on one collector); the counter and phase-time
+/// activity is the registry delta across the round, so it includes
+/// everything the round's verdicts triggered transitively — BFS expansions,
+/// Horton candidates, GF(2) pivots, simulated messages.
 struct RoundEvent {
   std::uint64_t round = 0;       ///< 1-based sequence number in this run
   std::uint64_t active = 0;      ///< awake nodes after the round's deletions
@@ -23,13 +23,12 @@ struct RoundEvent {
 };
 
 /// Per-run accounting: the scheduler reports round boundaries, the collector
-/// snapshots the registry at each and buffers one RoundEvent per round plus
-/// run totals, keeping an obs::CostModel in lockstep so every round also has
-/// a per-phase logical-cost profile. Single-threaded by design — it is
-/// driven from the scheduler loop only (the *workers* report through the
-/// registry shards).
+/// snapshots the registry at each through its obs::CostModel and buffers one
+/// RoundEvent per round plus run totals, so every round also has a per-phase
+/// logical-cost profile. Single-threaded by design — it is driven from the
+/// scheduler loop only (the *workers* report through the registry shards).
 ///
-/// The collector works with the span timers compiled out too (TGC_OBS=OFF):
+/// The collector works with the phase timers compiled out too (TGC_OBS=OFF):
 /// ns_* deltas are all zero then, but the logical counters and the
 /// scheduler-provided fields (active/candidates/deleted) still populate, so
 /// JSONL output, `tgcover stats`, and `tgcover compare` stay byte-identical
@@ -74,14 +73,11 @@ class RoundCollector {
   void write_cost_jsonl(std::ostream& out) const;
 
  private:
-  Metrics baseline_;
   CostModel cost_;
-  Metrics round_start_;
   std::uint64_t t0_ns_ = 0;
   std::uint64_t wall_ns_ = 0;  // frozen by finalize
   std::uint64_t survivors_ = 0;
   bool finalized_ = false;
-  Metrics final_totals_;
   std::vector<RoundEvent> events_;
 };
 

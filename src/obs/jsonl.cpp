@@ -143,4 +143,51 @@ std::optional<JsonRecord> parse_jsonl_line(const std::string& line) {
   return rec;
 }
 
+namespace {
+
+std::string line_note(const std::string& path, std::size_t line,
+                      const std::string& what) {
+  return path + ":" + std::to_string(line) + ": " + what;
+}
+
+}  // namespace
+
+JsonlStream read_jsonl_stream(const std::string& path,
+                              const JsonlVisitor& visit) {
+  JsonlStream stream;
+  std::ifstream in(path);
+  if (!in.good()) {
+    stream.error = "cannot open '" + path + "'";
+    return stream;
+  }
+  std::size_t lineno = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    ++lineno;
+    if (line.empty()) {
+      // Producers never emit blank lines; a blank line means the file was
+      // edited or corrupted, so surface it instead of silently moving on.
+      stream.notes.push_back(line_note(path, lineno, "skipping blank line"));
+      continue;
+    }
+    std::optional<JsonRecord> rec = parse_jsonl_line(line);
+    if (!rec.has_value()) {
+      // Also catches a truncated final line (no trailing newline, record
+      // cut mid-field) — getline still yields the partial text.
+      stream.notes.push_back(
+          line_note(path, lineno, "skipping malformed record"));
+      continue;
+    }
+    if (rec->text("type") == "manifest") {
+      stream.manifest = std::move(*rec);
+      continue;
+    }
+    const std::string skipped = visit(*rec);
+    if (!skipped.empty()) {
+      stream.notes.push_back(line_note(path, lineno, skipped));
+    }
+  }
+  return stream;
+}
+
 }  // namespace tgc::obs

@@ -10,8 +10,6 @@ namespace tgc::obs {
 
 namespace {
 
-thread_local NodeTelemetry* t_node_telemetry = nullptr;
-
 /// Fixed-precision double repr shared by every telemetry line — the same
 /// %.6f discipline as the HTML/report writers, so streams are
 /// byte-deterministic across platforms.
@@ -195,12 +193,6 @@ void NodeTelemetry::finalize() {
     top_talkers_.push_back(v);
   }
 }
-
-void set_node_telemetry(NodeTelemetry* telemetry) {
-  t_node_telemetry = telemetry;
-}
-
-NodeTelemetry* node_telemetry() { return t_node_telemetry; }
 
 namespace {
 

@@ -11,8 +11,6 @@ namespace tgc::obs {
 
 namespace {
 
-thread_local QualityAuditor* t_quality_auditor = nullptr;
-
 /// Fixed-precision float formatting so streams are byte-identical across
 /// platforms (same contract as the metrics and node-telemetry exporters).
 std::string f6(double v) {
@@ -128,12 +126,6 @@ void QualityAuditor::sample(std::uint64_t round,
   sampled_any_ = true;
   rounds_.push_back(std::move(rec));
 }
-
-void set_quality_auditor(QualityAuditor* auditor) {
-  t_quality_auditor = auditor;
-}
-
-QualityAuditor* quality_auditor() { return t_quality_auditor; }
 
 void write_quality_jsonl(const QualityAuditor& auditor, std::ostream& out) {
   const QualityConfig& c = auditor.config();

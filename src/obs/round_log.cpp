@@ -1,21 +1,33 @@
 #include "tgcover/obs/round_log.hpp"
 
+#include <array>
 #include <ostream>
+#include <string_view>
+#include <utility>
 
 namespace tgc::obs {
 
 namespace {
 
+/// The per-phase wall-clock columns, in their stream order. kOther is never
+/// timed: no scope opens it.
+constexpr std::array<std::pair<CostPhase, std::string_view>, 5> kNsColumns = {{
+    {CostPhase::kVerdicts, "ns_verdicts"},
+    {CostPhase::kMis, "ns_mis"},
+    {CostPhase::kDeletion, "ns_deletion"},
+    {CostPhase::kKhop, "ns_khop_collect"},
+    {CostPhase::kRepair, "ns_repair_wave"},
+}};
+
 /// Shared key order for round and summary records: scheduler-provided
-/// fields, then every counter by name, then per-span nanoseconds.
+/// fields, then every counter by name, then per-phase nanoseconds.
 void write_metrics_fields(std::ostream& out, const Metrics& m) {
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     out << ",\"" << counter_name(static_cast<CounterId>(i))
         << "\":" << m.counters[i];
   }
-  for (std::size_t i = 0; i < kNumSpans; ++i) {
-    out << ",\"ns_" << span_name(static_cast<SpanId>(i))
-        << "\":" << m.spans[i].sum_ns;
+  for (const auto& [phase, column] : kNsColumns) {
+    out << ",\"" << column << "\":" << m.ns(phase);
   }
 }
 
@@ -47,13 +59,9 @@ void write_cost_records(std::ostream& out, std::string_view type,
 
 }  // namespace
 
-RoundCollector::RoundCollector()
-    : baseline_(snapshot()), round_start_(baseline_), t0_ns_(now_ns()) {}
+RoundCollector::RoundCollector() : t0_ns_(now_ns()) {}
 
-void RoundCollector::begin_round() {
-  round_start_ = snapshot();
-  cost_.begin_round();
-}
+void RoundCollector::begin_round() { cost_.begin_round(); }
 
 void RoundCollector::end_round(std::uint64_t active, std::uint64_t candidates,
                                std::uint64_t deleted) {
@@ -62,22 +70,19 @@ void RoundCollector::end_round(std::uint64_t active, std::uint64_t candidates,
   ev.active = active;
   ev.candidates = candidates;
   ev.deleted = deleted;
-  ev.delta = snapshot() - round_start_;
-  events_.push_back(std::move(ev));
   cost_.end_round();
+  ev.delta = metrics_of(cost_.profiles().back().delta);
+  events_.push_back(std::move(ev));
 }
 
 void RoundCollector::finalize(std::uint64_t survivors) {
   survivors_ = survivors;
   wall_ns_ = now_ns() - t0_ns_;
-  final_totals_ = snapshot() - baseline_;
   finalized_ = true;
   cost_.finalize();
 }
 
-Metrics RoundCollector::totals() const {
-  return finalized_ ? final_totals_ : snapshot() - baseline_;
-}
+Metrics RoundCollector::totals() const { return metrics_of(cost_.totals()); }
 
 std::uint64_t RoundCollector::wall_ns() const {
   return finalized_ ? wall_ns_ : now_ns() - t0_ns_;

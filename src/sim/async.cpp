@@ -3,6 +3,7 @@
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/node_stats.hpp"
 #include "tgcover/obs/obs.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/obs/trace.hpp"
 #include "tgcover/util/check.hpp"
 
@@ -35,7 +36,7 @@ void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
   stats_.payload_words += payload.size();
   obs::add(obs::CounterId::kMessages, 1);
   obs::add(obs::CounterId::kPayloadWords, payload.size());
-  obs::NodeTelemetry* const nt = obs::node_telemetry();
+  obs::NodeTelemetry* const nt = obs::bound_observers().nodes;
   if (nt != nullptr) nt->on_send(from, to, payload.size());
   const bool traced = obs::trace_active();
   std::uint64_t trace_id = 0;
@@ -99,7 +100,7 @@ double AsyncEngine::run(const OnDeliver& handler) {
       ev.timer();
       continue;
     }
-    obs::NodeTelemetry* const nt = obs::node_telemetry();
+    obs::NodeTelemetry* const nt = obs::bound_observers().nodes;
     if (!active_[ev.msg.to]) {  // deactivated while in flight
       if (nt != nullptr) nt->on_drop(ev.msg.from, ev.msg.to);
       if (traced) {
@@ -248,7 +249,7 @@ void AlphaSynchronizer::transmit(std::uint64_t link, std::uint32_t round) {
     if (it == link_it->second.end() || it->second.acked) return;
     ++retransmissions_;
     obs::add(obs::CounterId::kRetransmissions, 1);
-    if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
+    if (obs::NodeTelemetry* const nt = obs::bound_observers().nodes) {
       nt->on_retransmit(it->second.from, it->second.to);
     }
     if (obs::trace_active()) {
@@ -365,7 +366,7 @@ void AlphaSynchronizer::run_rounds(std::size_t rounds,
     auto& bucket = pending_[msg.to][round];
     for (auto& m : msgs) bucket.push_back(std::move(m));
     ++got_[msg.to][round];
-    if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
+    if (obs::NodeTelemetry* const nt = obs::bound_observers().nodes) {
       // Synchronizer backlog: protocol messages buffered at the receiver
       // waiting for its round frontier to advance. The map is bounded by
       // the round slack (a few buckets), so summing here is cheap and only

@@ -2,6 +2,7 @@
 
 #include "tgcover/obs/node_stats.hpp"
 #include "tgcover/obs/obs.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/obs/trace.hpp"
 #include "tgcover/util/check.hpp"
 
@@ -29,7 +30,7 @@ class EngineMailer final : public Mailer {
     stats_->payload_words += payload.size();
     obs::add(obs::CounterId::kMessages, 1);
     obs::add(obs::CounterId::kPayloadWords, payload.size());
-    obs::NodeTelemetry* const nt = obs::node_telemetry();
+    obs::NodeTelemetry* const nt = obs::bound_observers().nodes;
     if (nt != nullptr) nt->on_send(from_, to, payload.size());
     std::uint64_t trace_id = 0;
     if (obs::trace_active()) {
@@ -79,7 +80,7 @@ RoundEngine::RoundEngine(const graph::Graph& g)
 void RoundEngine::deactivate(graph::VertexId v) {
   TGC_CHECK(v < active_.size());
   active_[v] = false;
-  if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
+  if (obs::NodeTelemetry* const nt = obs::bound_observers().nodes) {
     // Queued deliveries die with the radio: charge them to their senders as
     // drops so the conservation ledger (sent = received + lost + dropped +
     // undelivered) stays exact across mid-protocol deactivation.
@@ -103,7 +104,7 @@ void RoundEngine::run_round(const Handler& handler) {
     obs::trace_emit(obs::TraceKind::kEngineRound, obs::kTraceNoNode,
                     obs::kTraceNoNode, 0, round32, round);
   }
-  obs::NodeTelemetry* const nt = obs::node_telemetry();
+  obs::NodeTelemetry* const nt = obs::bound_observers().nodes;
   for (graph::VertexId v = 0; v < g_->num_vertices(); ++v) {
     if (!active_[v]) continue;
     EngineMailer mailer(*g_, active_, next_inbox_, stats_, v);

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "test_dirs.hpp"
 #include "tgcover/app/cli.hpp"
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/core/pipeline.hpp"
@@ -32,12 +33,7 @@ int run(std::initializer_list<const char*> argv, std::string* captured = nullptr
 class CliFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    // One directory per test process: ctest runs each discovered TEST as its
-    // own process, possibly concurrently, and TearDown removes the tree.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("tgc_cli_test_") + info->name());
-    fs::create_directories(dir_);
+    dir_ = test::make_test_dir("cli_test");
     net_ = (dir_ / "net.tgc").string();
     sched_ = (dir_ / "sched.tgc").string();
   }

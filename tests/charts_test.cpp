@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "test_dirs.hpp"
 #include "tgcover/app/charts.hpp"
 #include "tgcover/app/fleet.hpp"
 #include "tgcover/app/html.hpp"
@@ -207,10 +208,7 @@ TEST(Charts, SparklineDegenerateSeries) {
 class SinkFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("tgc_charts_test_") + info->name());
-    fs::create_directories(dir_);
+    dir_ = test::make_test_dir("charts_test");
     sink_ = (dir_ / "fleet.jsonl").string();
   }
   void TearDown() override { fs::remove_all(dir_); }

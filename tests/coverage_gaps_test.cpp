@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "test_dirs.hpp"
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/core/pipeline.hpp"
 #include "tgcover/core/scheduler.hpp"
@@ -79,8 +80,7 @@ TEST(CoverageGaps, SvgStyleSwitches) {
   io::SvgStyle style;
   style.draw_deleted = false;
   style.draw_edges = false;
-  const auto path =
-      std::filesystem::temp_directory_path() / "tgc_gap_style.svg";
+  const auto path = test::temp_path("gap_style.svg");
   io::render_network_svg(g, pos, roles, util::Gf2Vector(), path.string(),
                          style);
   std::ifstream in(path);

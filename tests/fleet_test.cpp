@@ -13,8 +13,10 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "test_dirs.hpp"
 #include "tgcover/app/cli.hpp"
 #include "tgcover/app/fleet.hpp"
 #include "tgcover/obs/jsonl.hpp"
@@ -52,10 +54,7 @@ std::string digest_of(const std::string& out) {
 class FleetFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("tgc_fleet_test_") + info->name());
-    fs::create_directories(dir_);
+    dir_ = test::make_test_dir("fleet_test");
     setenv("TGC_RUN_TIMESTAMP", "2026-08-07T00:00:00Z", 1);
     sink_ = (dir_ / "fleet.jsonl").string();
   }
@@ -223,6 +222,44 @@ TEST_F(FleetFixture, BadSpecInputsAreNamedErrors) {
     f << "[1,2,3]\n";
   }
   EXPECT_FALSE(load_fleet_spec(bad, spec, error));
+}
+
+TEST_F(FleetFixture, SpecRejectsWrappedSignsAndOutOfRangeNumbers) {
+  // strtoull wraps "-1" to 2^64-1 and strtod takes nan/inf; neither may
+  // reach a grid cell.
+  const std::pair<const char*, const char*> bad[] = {
+      {"nodes", "-1"},       {"nodes", "40,-5"},   {"taus", "-4"},
+      {"seeds", "-1"},       {"nodes", " 40"},     {"degrees", "nan"},
+      {"degrees", "inf"},    {"degrees", "-3"},    {"degrees", "0"},
+      {"band", "nan"},       {"band", "-0.5"},     {"alpha", "inf"},
+      {"alpha", "-0.1"},     {"alpha", "1.5"},     {"p-link", "nan"},
+      {"p-link", "2"},       {"aspect", "-inf"},   {"aspect", "0"},
+      {"retransmit", "nan"}, {"retransmit", "-1"}, {"min-delay", "nan"},
+      {"min-delay", "-1"},   {"max-delay", "inf"}, {"max-delay", "-2"},
+      {"losses", "nan"},
+  };
+  for (const auto& [key, value] : bad) {
+    FleetSpec spec;
+    std::string error;
+    EXPECT_FALSE(apply_fleet_key(spec, key, value, error))
+        << key << "=" << value;
+    EXPECT_EQ(error.rfind("bad value '", 0), 0u) << error;
+    EXPECT_NE(error.find(std::string("' for fleet key '") + key + "'"),
+              std::string::npos)
+        << error;
+  }
+  // The range boundaries themselves are legal.
+  FleetSpec spec;
+  std::string error;
+  const std::pair<const char*, const char*> good[] = {
+      {"band", "0"},   {"alpha", "0"},        {"alpha", "1"},  {"p-link", "0"},
+      {"p-link", "1"}, {"degrees", "0.5,12"}, {"nodes", "40"},
+  };
+  for (const auto& [key, value] : good) {
+    EXPECT_TRUE(apply_fleet_key(spec, key, value, error)) << error;
+  }
+  EXPECT_EQ(spec.nodes, std::vector<std::size_t>{40});
+  EXPECT_EQ(spec.degrees, (std::vector<double>{0.5, 12.0}));
 }
 
 TEST_F(FleetFixture, CompareSaveAndAgainstLastRoundTrip) {

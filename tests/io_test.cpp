@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "test_dirs.hpp"
 #include "tgcover/gen/deployments.hpp"
 #include "tgcover/io/network_io.hpp"
 #include "tgcover/io/svg.hpp"
@@ -17,7 +18,7 @@ namespace tgc::io {
 namespace {
 
 std::filesystem::path temp_file(const std::string& name) {
-  return std::filesystem::temp_directory_path() / ("tgc_io_test_" + name);
+  return test::temp_path("io_test_" + name);
 }
 
 TEST(NetworkIo, DeploymentRoundTrip) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "tgcover/boundary/label.hpp"
@@ -14,6 +15,7 @@
 #include "tgcover/core/scheduler.hpp"
 #include "tgcover/gen/deployments.hpp"
 #include "tgcover/obs/node_stats.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/util/rng.hpp"
 
 namespace tgc::obs {
@@ -152,12 +154,24 @@ TEST(NodeTelemetry, UndeliveredResidual) {
 }
 
 TEST(NodeTelemetry, ThreadLocalBinding) {
-  EXPECT_EQ(node_telemetry(), nullptr);
+  EXPECT_EQ(bound_observers().nodes, nullptr);
   NodeTelemetry t(1);
-  set_node_telemetry(&t);
-  EXPECT_EQ(node_telemetry(), &t);
-  set_node_telemetry(nullptr);
-  EXPECT_EQ(node_telemetry(), nullptr);
+  {
+    const ObserverScope bind({nullptr, &t, nullptr});
+    EXPECT_EQ(bound_observers().nodes, &t);
+    NodeTelemetry inner(1);
+    {
+      // Scopes nest: the inner binding is undone on exit, not cleared.
+      const ObserverScope rebind({nullptr, &inner, nullptr});
+      EXPECT_EQ(bound_observers().nodes, &inner);
+    }
+    EXPECT_EQ(bound_observers().nodes, &t);
+    // The binding is per thread: another thread sees nothing bound.
+    NodeTelemetry* seen = &t;
+    std::thread([&seen] { seen = bound_observers().nodes; }).join();
+    EXPECT_EQ(seen, nullptr);
+  }
+  EXPECT_EQ(bound_observers().nodes, nullptr);
 }
 
 TEST(NodeTelemetry, JsonlStreamsAreDeterministic) {
@@ -211,8 +225,8 @@ Instance make_instance(std::uint64_t seed, std::size_t n = 110) {
 /// RAII binding so a failed ASSERT never leaks the thread_local pointer
 /// into the next test.
 struct ScopedTelemetry {
-  explicit ScopedTelemetry(NodeTelemetry* t) { set_node_telemetry(t); }
-  ~ScopedTelemetry() { set_node_telemetry(nullptr); }
+  explicit ScopedTelemetry(NodeTelemetry* t) : scope({nullptr, t, nullptr}) {}
+  ObserverScope scope;
 };
 
 void check_ledger(const NodeTelemetry& t, const DccDistributedResult& run) {

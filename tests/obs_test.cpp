@@ -1,22 +1,26 @@
-// Telemetry subsystem tests: shard merging across ThreadPool workers, span
-// nesting, JSONL round-trip through `tgcover stats`, and the contract that
+// Telemetry subsystem tests: shard merging across ThreadPool workers, phase
+// scope timing, JSONL round-trip through `tgcover stats`, and the contract that
 // matters most — telemetry never changes a schedule. Every test is written
 // to pass both with TGC_OBS=ON (counters live) and TGC_OBS=OFF (everything
 // compiles to no-ops), branching on obs::kCompiledIn where the two differ.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "test_dirs.hpp"
 #include "tgcover/app/cli.hpp"
 #include "tgcover/core/pipeline.hpp"
 #include "tgcover/core/scheduler.hpp"
 #include "tgcover/gen/deployments.hpp"
 #include "tgcover/obs/jsonl.hpp"
 #include "tgcover/obs/obs.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/obs/round_log.hpp"
 #include "tgcover/util/rng.hpp"
 #include "tgcover/util/thread_pool.hpp"
@@ -69,53 +73,61 @@ TEST(ObsRegistry, CounterAndSpanNamesAreStable) {
   EXPECT_EQ(obs::counter_name(obs::CounterId::kVptTests), "vpt_tests");
   EXPECT_EQ(obs::counter_name(obs::CounterId::kGf2Pivots), "gf2_pivots");
   EXPECT_EQ(obs::counter_name(obs::CounterId::kMessages), "messages");
-  EXPECT_EQ(obs::span_name(obs::SpanId::kVerdicts), "verdicts");
-  EXPECT_EQ(obs::span_name(obs::SpanId::kRepairWave), "repair_wave");
+  EXPECT_EQ(obs::cost_phase_name(obs::CostPhase::kVerdicts), "verdicts");
+  EXPECT_EQ(obs::cost_phase_name(obs::CostPhase::kRepair), "repair");
+  // The per-phase wall-clock columns keep their names and order.
+  obs::RoundCollector collector;
+  collector.finalize(0);
+  std::ostringstream out;
+  collector.write_jsonl(out);
+  const std::string text = out.str();
+  std::size_t at = 0;
+  for (const char* column :
+       {"\"ns_verdicts\":", "\"ns_mis\":", "\"ns_deletion\":",
+        "\"ns_khop_collect\":", "\"ns_repair_wave\":"}) {
+    at = text.find(column, at);
+    ASSERT_NE(at, std::string::npos) << column << " in " << text;
+  }
 }
 
-// ------------------------------------------------------------------- Spans
+// ------------------------------------------------------------ Phase timers
 
-TEST(ObsSpan, NestingAndHistogram) {
+TEST(ObsSpan, NestedPhaseScopesTimeEachPhase) {
   obs::set_enabled(true);
   const obs::Metrics before = obs::snapshot();
-  EXPECT_EQ(obs::span_depth(), 0);
   {
-    TGC_OBS_SPAN(obs::SpanId::kVerdicts);
-    if (obs::kCompiledIn) EXPECT_EQ(obs::span_depth(), 1);
+    const obs::CostPhaseScope verdicts(obs::CostPhase::kVerdicts);
     {
-      TGC_OBS_SPAN(obs::SpanId::kMis);
-      if (obs::kCompiledIn) EXPECT_EQ(obs::span_depth(), 2);
+      const obs::CostPhaseScope mis(obs::CostPhase::kMis);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    if (obs::kCompiledIn) EXPECT_EQ(obs::span_depth(), 1);
   }
-  EXPECT_EQ(obs::span_depth(), 0);
-
   const obs::Metrics delta = obs::snapshot() - before;
   obs::set_enabled(false);
   if (obs::kCompiledIn) {
-    EXPECT_EQ(delta.span(obs::SpanId::kVerdicts).count, 1u);
-    EXPECT_EQ(delta.span(obs::SpanId::kMis).count, 1u);
-    // Bucket mass must equal the recorded count.
-    std::uint64_t bucket_sum = 0;
-    for (const std::uint64_t b : delta.span(obs::SpanId::kVerdicts).buckets) {
-      bucket_sum += b;
-    }
-    EXPECT_EQ(bucket_sum, 1u);
+    EXPECT_GE(delta.ns(obs::CostPhase::kMis), 1'000'000u);
+    // A scope's time includes the scopes nested in it.
+    EXPECT_GE(delta.ns(obs::CostPhase::kVerdicts),
+              delta.ns(obs::CostPhase::kMis));
   } else {
-    EXPECT_EQ(delta.span(obs::SpanId::kVerdicts).count, 0u);
+    EXPECT_EQ(delta.ns(obs::CostPhase::kVerdicts), 0u);
+    EXPECT_EQ(delta.ns(obs::CostPhase::kMis), 0u);
   }
+  EXPECT_EQ(delta.ns(obs::CostPhase::kDeletion), 0u);
+  EXPECT_EQ(delta.ns(obs::CostPhase::kOther), 0u);
 }
 
 TEST(ObsSpan, ToggleMidSpanNeverHalfRecords) {
   obs::set_enabled(false);
   const obs::Metrics before = obs::snapshot();
   {
-    TGC_OBS_SPAN(obs::SpanId::kDeletion);  // constructed while disabled
-    obs::set_enabled(true);                // enabling mid-span must not record
+    // Constructed while disabled; enabling mid-scope must not record.
+    const obs::CostPhaseScope scope(obs::CostPhase::kDeletion);
+    obs::set_enabled(true);
   }
   const obs::Metrics delta = obs::snapshot() - before;
   obs::set_enabled(false);
-  EXPECT_EQ(delta.span(obs::SpanId::kDeletion).count, 0u);
+  EXPECT_EQ(delta.ns(obs::CostPhase::kDeletion), 0u);
 }
 
 // ------------------------------------------------------------------- JSONL
@@ -147,8 +159,10 @@ TEST(ObsCollector, RoundTripThroughWriter) {
   core::DccConfig config;
   config.tau = 4;
   obs::RoundCollector collector;
-  config.collector = &collector;
-  const core::ScheduleSummary s = core::run_dcc(net, config);
+  const core::ScheduleSummary s = [&] {
+    const obs::ObserverScope observe({&collector, nullptr, nullptr});
+    return core::run_dcc(net, config);
+  }();
   collector.finalize(s.result.survivors);
   obs::set_enabled(false);
 
@@ -217,9 +231,10 @@ TEST(ObsDeterminism, TelemetryNeverChangesTheSchedule) {
 
     obs::set_enabled(true);
     obs::RoundCollector collector;
-    core::DccConfig metered = plain;
-    metered.collector = &collector;
-    const core::ScheduleSummary metered_run = core::run_dcc(net, metered);
+    const core::ScheduleSummary metered_run = [&] {
+      const obs::ObserverScope observe({&collector, nullptr, nullptr});
+      return core::run_dcc(net, plain);
+    }();
     collector.finalize(metered_run.result.survivors);
     obs::set_enabled(false);
 
@@ -252,10 +267,7 @@ int run(std::initializer_list<const char*> argv,
 class ObsCliFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("tgc_obs_test_") + info->name());
-    fs::create_directories(dir_);
+    dir_ = test::make_test_dir("obs_test");
     net_ = (dir_ / "net.tgc").string();
     sched_ = (dir_ / "sched.tgc").string();
     jsonl_ = (dir_ / "metrics.jsonl").string();

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "test_dirs.hpp"
 #include "tgcover/obs/jsonl.hpp"
 #include "tgcover/obs/trace.hpp"
 #include "tgcover/obs/trace_export.hpp"
@@ -181,8 +182,7 @@ TEST(JsonlWriterTest, ReportsOpenFailure) {
 }
 
 TEST(JsonlWriterTest, CleanWriteSucceeds) {
-  const fs::path path =
-      fs::temp_directory_path() / "tgc_jsonl_writer_test.jsonl";
+  const fs::path path = test::temp_path("jsonl_writer_test.jsonl");
   {
     JsonlWriter w(path.string());
     ASSERT_TRUE(w.ok());

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "test_dirs.hpp"
 #include "tgcover/app/cli.hpp"
 #include "tgcover/app/profile_report.hpp"
 #include "tgcover/obs/jsonl.hpp"
@@ -60,10 +61,7 @@ std::vector<obs::JsonRecord> records_of(const fs::path& path,
 class ProfileFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("tgc_profile_test_") + info->name());
-    fs::create_directories(dir_);
+    dir_ = test::make_test_dir("profile_test");
     setenv("TGC_RUN_TIMESTAMP", "2026-08-07T00:00:00Z", 1);
     net_ = (dir_ / "net.tgc").string();
   }

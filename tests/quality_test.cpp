@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "test_dirs.hpp"
 #include "tgcover/app/cli.hpp"
 #include "tgcover/app/fleet.hpp"
 #include "tgcover/app/quality_audit.hpp"
@@ -55,10 +56,7 @@ std::string read_file(const fs::path& path) {
 class QualityFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("tgc_quality_test_") + info->name());
-    fs::create_directories(dir_);
+    dir_ = test::make_test_dir("quality_test");
     setenv("TGC_RUN_TIMESTAMP", "2026-08-07T00:00:00Z", 1);
     net_ = (dir_ / "net.tgc").string();
   }

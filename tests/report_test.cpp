@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "test_dirs.hpp"
 #include "tgcover/app/cli.hpp"
 #include "tgcover/obs/jsonl.hpp"
 #include "tgcover/obs/log.hpp"
@@ -50,10 +51,7 @@ std::string first_line(const fs::path& path) {
 class ReportFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("tgc_report_test_") + info->name());
-    fs::create_directories(dir_);
+    dir_ = test::make_test_dir("report_test");
     // Pin the sidecar timestamp so manifests are byte-comparable, the same
     // way the CI determinism job does.
     setenv("TGC_RUN_TIMESTAMP", "2026-08-06T00:00:00Z", 1);

@@ -33,6 +33,7 @@
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/graph/subgraph.hpp"
 #include "tgcover/obs/cost.hpp"
+#include "tgcover/obs/observe.hpp"
 #include "tgcover/obs/round_log.hpp"
 #include "tgcover/sim/engine.hpp"
 #include "tgcover/sim/khop.hpp"
@@ -377,7 +378,7 @@ TEST(IncrementalEquivalence, CostStreamIdenticalAcrossThreads) {
     config.seed = 9;
     config.num_threads = threads;
     obs::RoundCollector collector;
-    config.collector = &collector;
+    const obs::ObserverScope observe({&collector, nullptr, nullptr});
     const DccResult r = dcc_schedule(inst.dep.graph, inst.internal, config);
     collector.finalize(r.survivors);
     std::ostringstream out;

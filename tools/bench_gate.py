@@ -112,40 +112,49 @@ def load(path):
         sys.exit(2)
 
 
-def load_fleet(path):
-    """Reads a fleet JSONL sink into the bench-JSON shape the gate walks.
+# The JSONL sink kinds, one row each: which lines become result rows, the
+# advisory seconds of a row, the header line the sink must carry (if any),
+# and the message for a sink without it (or without any row).
+STREAMS = {
+    "fleet": {
+        # The manifest header and any truncated/partial lines are skipped.
+        "is_row": lambda obj: "run" in obj,
+        "seconds": lambda obj: float(obj.get("wall_ms", 0.0)) / 1000.0,
+    },
+    "profile": {
+        # Per-phase busy time folds into the advisory seconds; the header
+        # contributes the worker count and the exactly-gated round count.
+        "is_row": lambda obj: obj.get("type") == "phase_summary",
+        "seconds": lambda obj: float(obj.get("busy_ns", 0)) / 1e9,
+        "header": "profile_header",
+        "missing": "has no profile_header line "
+                   "(produce one with --profile-out)",
+    },
+    "node": {
+        # The single-run stream carries no run tags (key half defaults to 0);
+        # the shared fleet sink tags every row with its run id. No wall-clock
+        # column: the advisory ratio is always a clean 1.0.
+        "is_row": lambda obj: obj.get("type") == "node_summary",
+        "seconds": lambda obj: 0.0,
+        "missing": "has no node_summary lines "
+                   "(produce one with --node-telemetry-out)",
+    },
+    "quality": {
+        # One untagged summary per run stream (key defaults to run 0); the
+        # shared fleet quality sink tags each summary with its run id.
+        "is_row": lambda obj: obj.get("type") == "quality_summary",
+        "seconds": lambda obj: 0.0,
+        "missing": "has no quality_summary lines "
+                   "(produce one with --quality-out)",
+    },
+}
 
-    The sink header (the manifest line) and any truncated/partial lines are
-    skipped; wall_ms is folded into the advisory `seconds` column.
-    """
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    continue  # truncated final line of a killed campaign
-                if not isinstance(obj, dict) or "run" not in obj:
-                    continue
-                obj["seconds"] = float(obj.get("wall_ms", 0.0)) / 1000.0
-                rows.append(obj)
-    except OSError as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    return {"bench": "fleet", "results": rows}
 
-
-def load_profile(path):
-    """Reads a --profile-out JSONL sink into the bench-JSON shape.
-
-    The per-phase summaries become the result rows (busy time folded into
-    the advisory `seconds` column); the profile_header contributes the
-    worker count and the exactly-gated round count.
-    """
+def load_stream(path, kind):
+    """Reads a JSONL sink of `kind` (a STREAMS key) into the bench-JSON shape
+    the gate walks. Blank, unparseable and non-object lines are skipped (a
+    killed run truncates its final line)."""
+    spec = STREAMS[kind]
     header = None
     rows = []
     try:
@@ -160,95 +169,23 @@ def load_profile(path):
                     continue
                 if not isinstance(obj, dict):
                     continue
-                if obj.get("type") == "profile_header":
+                if "header" in spec and obj.get("type") == spec["header"]:
                     header = obj
-                elif obj.get("type") == "phase_summary":
-                    obj["seconds"] = float(obj.get("busy_ns", 0)) / 1e9
+                elif spec["is_row"](obj):
+                    obj["seconds"] = spec["seconds"](obj)
                     rows.append(obj)
     except OSError as e:
         print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-    if header is None:
-        print(f"bench_gate: {path} has no profile_header line "
-              "(produce one with --profile-out)", file=sys.stderr)
+    found = header is not None if "header" in spec else bool(rows)
+    if "missing" in spec and not found:
+        print(f"bench_gate: {path} {spec['missing']}", file=sys.stderr)
         sys.exit(2)
-    return {
-        "bench": "profile",
-        "workers": header.get("workers"),
-        "rounds": header.get("rounds"),
-        "hardware_concurrency": header.get("hardware_concurrency"),
-        "results": rows,
-    }
-
-
-def load_node(path):
-    """Reads a --node-telemetry-out JSONL sink into the bench-JSON shape.
-
-    The node_summary lines become the result rows. The single-run stream
-    carries no run tags (key half defaults to 0); the shared fleet sink
-    tags every row with its run id, so both forms key by (run, node).
-    There is no wall-clock column: rows get seconds=0 and the advisory
-    ratio is always a clean 1.0.
-    """
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    continue  # truncated final line of a killed run
-                if not isinstance(obj, dict):
-                    continue
-                if obj.get("type") == "node_summary":
-                    obj["seconds"] = 0.0
-                    rows.append(obj)
-    except OSError as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    if not rows:
-        print(f"bench_gate: {path} has no node_summary lines "
-              "(produce one with --node-telemetry-out)", file=sys.stderr)
-        sys.exit(2)
-    return {"bench": "node", "results": rows}
-
-
-def load_quality(path):
-    """Reads a --quality-out JSONL sink into the bench-JSON shape.
-
-    The quality_summary lines become the result rows. The single-run stream
-    carries exactly one untagged summary (key defaults to run 0); the shared
-    fleet quality sink tags every summary with its run id. There is no
-    wall-clock column: rows get seconds=0 and the advisory ratio is always a
-    clean 1.0.
-    """
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    continue  # truncated final line of a killed run
-                if not isinstance(obj, dict):
-                    continue
-                if obj.get("type") == "quality_summary":
-                    obj["seconds"] = 0.0
-                    rows.append(obj)
-    except OSError as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    if not rows:
-        print(f"bench_gate: {path} has no quality_summary lines "
-              "(produce one with --quality-out)", file=sys.stderr)
-        sys.exit(2)
-    return {"bench": "quality", "results": rows}
+    out = {"bench": kind, "results": rows}
+    if header is not None:
+        for key in ("workers", "rounds", "hardware_concurrency"):
+            out[key] = header.get(key)
+    return out
 
 
 def quality_row_key(row):
@@ -346,20 +283,20 @@ def main():
 
     pre_failures = []
     if args.quality:
-        baseline = load_quality(args.baseline)
-        fresh = load_quality(args.fresh)
+        baseline = load_stream(args.baseline, "quality")
+        fresh = load_stream(args.fresh, "quality")
         key_of, fmt, gated = quality_row_key, fmt_quality_key, QUALITY_FIELDS
     elif args.node:
-        baseline = load_node(args.baseline)
-        fresh = load_node(args.fresh)
+        baseline = load_stream(args.baseline, "node")
+        fresh = load_stream(args.fresh, "node")
         key_of, fmt, gated = node_row_key, fmt_node_key, NODE_FIELDS
     elif args.fleet:
-        baseline = load_fleet(args.baseline)
-        fresh = load_fleet(args.fresh)
+        baseline = load_stream(args.baseline, "fleet")
+        fresh = load_stream(args.fresh, "fleet")
         key_of, fmt, gated = fleet_row_key, fmt_fleet_key, FLEET_FIELDS
     elif args.profile:
-        baseline = load_profile(args.baseline)
-        fresh = load_profile(args.fresh)
+        baseline = load_stream(args.baseline, "profile")
+        fresh = load_stream(args.fresh, "profile")
         key_of, fmt, gated = profile_row_key, fmt_profile_key, PROFILE_FIELDS
         if baseline.get("rounds") != fresh.get("rounds"):
             pre_failures.append(
